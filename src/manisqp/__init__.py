@@ -50,8 +50,10 @@ from .instances import (
     feasible_start,
     gen_balanced_cut,
     gen_completion,
+    gen_instance,
     instance_from_dict,
     instance_to_dict,
+    problem_and_start,
     random_cut_start,
 )
 from .runner import RunSpec, decade_crossings, run, write_trace_csv

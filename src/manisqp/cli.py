@@ -3,29 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .instances import (
-    completion_problem,
-    cut_problem,
-    feasible_start,
-    gen_balanced_cut,
-    gen_completion,
-    instance_to_dict,
-    random_cut_start,
-)
+from .instances import FAMILIES, START_TOL, gen_instance, instance_to_dict, problem_and_start
 from .problem import Multipliers
 from .runner import RunSpec, run, write_trace_csv
-from .solver import SolverConfig, solve
-
-# benchmark-calibrated eigenvalue floors, applied when --delta is not given
-DEFAULT_DELTA = {"completion": 1e-5, "balanced_cut": 1e-8}
-# subproblem certificate tolerances, applied when --qp-tol is not given.  The
-# cut floor delta=1e-8 admits steps of norm ~1/delta, whose float64
-# stationarity residual cannot sit below roughly eps/delta, so the tighter
-# completion default is unattainable there.
-DEFAULT_QP_TOL = {"completion": 1e-10, "balanced_cut": 1e-8}
+from .solver import B_STRATEGIES, SolverConfig, solve
 
 EXIT_CODES = {
     "converged": 0,
@@ -38,7 +23,7 @@ EXIT_CODES = {
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", required=True, choices=("completion", "balanced_cut"))
+    p.add_argument("--problem", required=True, choices=FAMILIES)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--p", type=int, help="rank (completion only)")
@@ -54,19 +39,20 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_instance_args(gen)
     gen.add_argument("--out", required=True, help="output JSON path")
 
+    # solver flags left out take their SolverConfig defaults
     sol = sub.add_parser("solve", help="solve one instance")
     _add_instance_args(sol)
-    sol.add_argument("--rho-init", type=float, default=1.0)
-    sol.add_argument("--beta", type=float, default=0.9)
-    sol.add_argument("--gamma", type=float, default=0.25)
-    sol.add_argument("--epsilon", type=float, default=0.5)
-    sol.add_argument("--delta", type=float, default=None, help="eigenvalue floor (default per problem)")
-    sol.add_argument("--qp-tol", type=float, default=None, help="subproblem certificate tolerance (default per problem)")
-    sol.add_argument("--b-strategy", choices=("modified_hessian", "identity"), default="modified_hessian")
-    sol.add_argument("--residual-tol", type=float, default=1e-6)
-    sol.add_argument("--max-iter", type=int, default=100_000)
-    sol.add_argument("--max-time", type=float, default=600.0)
-    sol.add_argument("--start-tol", type=float, default=1e-2, help="feasibility phase target (completion)")
+    sol.add_argument("--rho-init", type=float)
+    sol.add_argument("--beta", type=float)
+    sol.add_argument("--gamma", type=float)
+    sol.add_argument("--epsilon", type=float)
+    sol.add_argument("--delta", type=float, help="eigenvalue floor")
+    sol.add_argument("--qp-tol", type=float, help="subproblem certificate tolerance")
+    sol.add_argument("--b-strategy", choices=B_STRATEGIES)
+    sol.add_argument("--residual-tol", type=float)
+    sol.add_argument("--max-iter", type=int)
+    sol.add_argument("--max-time", type=float)
+    sol.add_argument("--start-tol", type=float, default=START_TOL, help="feasibility phase target (completion)")
     sol.add_argument("--trace", help="write the iteration trace CSV here")
     sol.add_argument(
         "--wall-times",
@@ -81,19 +67,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_instance_args(parser, args) -> None:
-    if args.problem == "completion" and args.p is None:
-        parser.error("--p is required for completion")
-    if args.problem == "balanced_cut" and args.density is None:
-        parser.error("--density is required for balanced_cut")
+def _gen_instance(parser, args):
+    try:
+        return gen_instance(args.problem, args.q, args.s, args.p, args.density, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _cmd_gen(parser, args) -> int:
-    _check_instance_args(parser, args)
-    if args.problem == "completion":
-        inst = gen_completion(args.q, args.s, args.p, args.seed)
-    else:
-        inst = gen_balanced_cut(args.q, args.s, args.density, args.seed)
+    inst = _gen_instance(parser, args)
     with open(args.out, "w") as fh:
         json.dump(instance_to_dict(inst), fh, sort_keys=True)
         fh.write("\n")
@@ -102,30 +84,12 @@ def _cmd_gen(parser, args) -> int:
 
 
 def _cmd_solve(parser, args) -> int:
-    _check_instance_args(parser, args)
-    delta = args.delta if args.delta is not None else DEFAULT_DELTA[args.problem]
-    qp_tol = args.qp_tol if args.qp_tol is not None else DEFAULT_QP_TOL[args.problem]
-    cfg = SolverConfig(
-        epsilon=args.epsilon,
-        rho_init=args.rho_init,
-        beta=args.beta,
-        gamma=args.gamma,
-        delta=delta,
-        qp_tol=qp_tol,
-        b_strategy=args.b_strategy,
-        residual_tol=args.residual_tol,
-        max_iter=args.max_iter,
-        max_time=args.max_time,
-        seed=args.seed,
-    )
-    if args.problem == "completion":
-        inst = gen_completion(args.q, args.s, args.p, args.seed)
-        prob = completion_problem(inst)
-        x0 = feasible_start(inst, tol=args.start_tol)
-    else:
-        inst = gen_balanced_cut(args.q, args.s, args.density, args.seed)
-        prob = cut_problem(inst)
-        x0 = random_cut_start(inst)
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SolverConfig)}
+    try:
+        cfg = SolverConfig(**{k: v for k, v in given.items() if v is not None})
+    except ValueError as exc:
+        parser.error(str(exc))
+    prob, x0 = problem_and_start(_gen_instance(parser, args), args.start_tol)
 
     state, trace = solve(prob, x0, Multipliers.zeros(prob.m, prob.n), cfg)
     if args.trace:
@@ -134,13 +98,18 @@ def _cmd_solve(parser, args) -> int:
     print(
         f"verdict={trace.verdict} iters={len(trace.records)}"
         + (f" f={last.f:.9e} residual={last.residual:.3e}" if last else "")
+        + (f" reason={trace.reason!r}" if trace.reason else "")
     )
     return EXIT_CODES[trace.verdict]
 
 
 def _cmd_bench(parser, args) -> int:
     with open(args.spec) as fh:
-        spec = RunSpec.from_dict(json.load(fh))
+        d = json.load(fh)
+    try:
+        spec = RunSpec.from_dict(d)
+    except ValueError as exc:
+        parser.error(str(exc))
     summary, _ = run(spec, args.out)
     print(
         f"wrote {args.out}/summary.json: {summary['successes']}/{summary['trials']} "

@@ -21,13 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import FixedRank, ManifoldPoint, Oblique, RankDropError
+from .manifolds import FixedRank, ManifoldPoint, Oblique, RankDropError, _readonly
 from .problem import Multipliers, Problem, SmoothFunction, constraint_values
 from .solver import IterateState, QpInfeasibleError, SolverConfig, StallError, step
 
 __all__ = [
+    "FAMILIES",
+    "START_TOL",
     "CompletionInstance",
     "CutInstance",
+    "family_size",
+    "gen_instance",
+    "problem_and_start",
     "gen_completion",
     "gen_balanced_cut",
     "completion_problem",
@@ -42,11 +47,10 @@ _SALT_INSTANCE = 0x1A
 _SALT_START = 0x2B
 _SALT_FEAS = 0x3C
 
+FAMILIES = ("completion", "balanced_cut")
 
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+# Largest constraint violation a completion start may have.
+START_TOL = 1e-2
 
 
 def _instance_rng(seed: int) -> np.random.Generator:
@@ -262,7 +266,7 @@ def _max_violation(prob: Problem, x: ManifoldPoint) -> float:
 
 def feasible_start(
     inst: CompletionInstance,
-    tol: float = 1e-2,
+    tol: float = START_TOL,
     x0: ManifoldPoint | None = None,
     max_iter: int = 200,
 ) -> ManifoldPoint:
@@ -319,3 +323,34 @@ def feasible_start(
         x0 = None
         attempt += 1
     raise RuntimeError(f"feasibility phase did not reach violation {tol} in {max_iter} iterations")
+
+
+def family_size(problem: str, p: int | None = None, density: float | None = None):
+    """The size argument of a family: p for completion, density for balanced cut.
+
+    Raises ValueError for an unknown family or a missing size argument.
+    """
+    if problem not in FAMILIES:
+        raise ValueError(f"problem must be one of {FAMILIES}")
+    name, size = ("p", p) if problem == "completion" else ("density", density)
+    if size is None:
+        raise ValueError(f"{problem} needs {name}")
+    return size
+
+
+def gen_instance(problem: str, q: int, s: int, p: int | None = None, density: float | None = None, seed: int = 0):
+    """Generate an instance of the named family; see ``family_size`` for the errors."""
+    size = family_size(problem, p, density)
+    gen = gen_completion if problem == "completion" else gen_balanced_cut
+    return gen(q, s, size, seed)
+
+
+def problem_and_start(inst, start_tol: float = START_TOL) -> tuple[Problem, ManifoldPoint]:
+    """The Problem of an instance and the point a solve starts from.
+
+    Completion starts come from ``feasible_start`` at violation ``start_tol``
+    and raise its RuntimeError; cut starts are random.
+    """
+    if isinstance(inst, CompletionInstance):
+        return completion_problem(inst), feasible_start(inst, tol=start_tol)
+    return cut_problem(inst), random_cut_start(inst)

@@ -119,7 +119,6 @@ class TangentBasis:
 
     point: ManifoldPoint
     vectors: tuple[TangentVector, ...]
-    seed: object = None
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -459,4 +458,4 @@ def orthonormal_basis(x: ManifoldPoint, seed) -> TangentBasis:
         rows.append(v / nrm)
     shape = man.ambient_shape
     vectors = tuple(TangentVector(x, _readonly(r.reshape(shape))) for r in rows)
-    return TangentBasis(x, vectors, seed=seed)
+    return TangentBasis(x, vectors)

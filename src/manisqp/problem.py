@@ -58,9 +58,6 @@ class Multipliers:
     def zeros(m: int, n: int) -> "Multipliers":
         return Multipliers(np.zeros(m), np.zeros(n))
 
-    def __add__(self, other: "Multipliers") -> "Multipliers":
-        return Multipliers(self.mu + other.mu, self.lam + other.lam)
-
 
 @dataclass(frozen=True, eq=False)
 class Problem:

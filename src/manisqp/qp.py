@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from .manifolds import ManifoldPoint, TangentBasis
+from .manifolds import ManifoldPoint, TangentBasis, _readonly
 from .problem import Multipliers, Problem, constraint_values
 
 __all__ = [
@@ -46,12 +46,6 @@ INFEASIBILITY_TOL = 1e-8
 MU_CLAMP = 1e-10
 
 _IPM_MAX_ITER = 100
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

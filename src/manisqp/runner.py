@@ -4,7 +4,9 @@ A RunSpec names a problem family, its sizes, a trial count and the solver
 configuration.  ``run`` executes the trials sequentially with per-trial
 derived seeds, writes one trace CSV per trial plus a ``decades.csv`` with
 the first wall time at which the residual crossed each power of ten, and a
-``summary.json`` with the success ratio and means over successful trials.
+``summary.json`` with the success ratio, means over successful trials and
+each trial's verdict, reason and elapsed seconds.  A trial whose start
+fails is recorded with verdict "start_failed" and counts as a failure.
 """
 
 from __future__ import annotations
@@ -13,20 +15,14 @@ import csv
 import dataclasses
 import json
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instances import (
-    cut_problem,
-    completion_problem,
-    feasible_start,
-    gen_balanced_cut,
-    gen_completion,
-    random_cut_start,
-)
+from .instances import START_TOL, family_size, gen_instance, problem_and_start
 from .problem import Multipliers
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, SolveTrace, solve
 
 __all__ = ["RunSpec", "run", "write_trace_csv", "decade_crossings", "TRACE_COLUMNS"]
 
@@ -51,25 +47,20 @@ _SALT_TRIAL = 0x7D
 
 @dataclass(frozen=True)
 class RunSpec:
-    problem: str  # "completion" | "balanced_cut"
+    problem: str  # one of instances.FAMILIES
     q: int
     s: int
     p: int | None = None
     density: float | None = None
     trials: int = 1
     seed: int = 0
-    start_tol: float = 1e-2
+    start_tol: float = START_TOL
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.problem not in ("completion", "balanced_cut"):
-            raise ValueError("problem must be 'completion' or 'balanced_cut'")
+        family_size(self.problem, self.p, self.density)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.problem == "completion" and self.p is None:
-            raise ValueError("completion needs p")
-        if self.problem == "balanced_cut" and self.density is None:
-            raise ValueError("balanced_cut needs density")
 
     @staticmethod
     def from_dict(d: dict) -> "RunSpec":
@@ -122,18 +113,22 @@ def decade_crossings(records) -> dict[int, float]:
 
 
 def _run_trial(spec: RunSpec, trial: int):
+    """Returns (seed, trace, elapsed seconds).
+
+    A start that fails is a trace with verdict "start_failed", its reason
+    and the seconds the start took; otherwise elapsed is the solve's last
+    record time.
+    """
     iseed = trial_seed(spec.seed, trial)
     cfg = dataclasses.replace(spec.solver, seed=iseed)
-    if spec.problem == "completion":
-        inst = gen_completion(spec.q, spec.s, spec.p, iseed)
-        prob = completion_problem(inst)
-        x0 = feasible_start(inst, tol=spec.start_tol)
-    else:
-        inst = gen_balanced_cut(spec.q, spec.s, spec.density, iseed)
-        prob = cut_problem(inst)
-        x0 = random_cut_start(inst)
-    state, trace = solve(prob, x0, Multipliers.zeros(prob.m, prob.n), cfg)
-    return iseed, state, trace
+    inst = gen_instance(spec.problem, spec.q, spec.s, spec.p, spec.density, iseed)
+    t0 = time.perf_counter()
+    try:
+        prob, x0 = problem_and_start(inst, spec.start_tol)
+    except RuntimeError as exc:
+        return iseed, SolveTrace(verdict="start_failed", reason=str(exc)), time.perf_counter() - t0
+    _, trace = solve(prob, x0, Multipliers.zeros(prob.m, prob.n), cfg)
+    return iseed, trace, trace.records[-1].wall_time if trace.records else 0.0
 
 
 def run(spec: RunSpec, out_dir: str):
@@ -149,15 +144,16 @@ def run(spec: RunSpec, out_dir: str):
     successes = 0
     times: list[float] = []
     iters: list[int] = []
+    elapsed_s: list[float] = []
     all_crossings: list[dict[int, float]] = []
 
     for t in range(spec.trials):
-        iseed, state, trace = _run_trial(spec, t)
+        iseed, trace, elapsed = _run_trial(spec, t)
         seeds.append(iseed)
         traces.append(trace)
+        elapsed_s.append(elapsed)
         write_trace_csv(os.path.join(out_dir, f"trial_{t:03d}.csv"), trace.records, wall_times=True)
         all_crossings.append(decade_crossings(trace.records))
-        elapsed = trace.records[-1].wall_time if trace.records else 0.0
         if trace.verdict == "converged" and elapsed <= spec.solver.max_time:
             successes += 1
             times.append(elapsed)
@@ -187,6 +183,9 @@ def run(spec: RunSpec, out_dir: str):
         "mean_time_s": (sum(times) / len(times)) if times else None,
         "mean_iters": (sum(iters) / len(iters)) if iters else None,
         "seeds": seeds,
+        "verdicts": [t.verdict for t in traces],
+        "reasons": [t.reason for t in traces],
+        "elapsed_s": elapsed_s,
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

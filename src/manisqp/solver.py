@@ -72,6 +72,9 @@ class StallError(RuntimeError):
     """The iteration cannot make further progress."""
 
 
+_FAILURE_VERDICTS = {QpInfeasibleError: "qp_infeasible", RankDropError: "rank_drop", StallError: "stalled"}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 0.5
@@ -146,8 +149,11 @@ class IterationRecord:
 
 @dataclass(eq=False)
 class SolveTrace:
+    """Records and verdict of one run; ``reason`` says why a failed run stopped."""
+
     records: list[IterationRecord] = field(default_factory=list)
     verdict: str = "max_iter"
+    reason: str = ""
 
 
 def update_penalty(rho_prev: float, eta_star: Multipliers, epsilon: float) -> float:
@@ -236,31 +242,12 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
     rho = update_penalty(state.rho, sol.eta, cfg.epsilon)
     quad_form = float(d_hat @ b @ d_hat)
 
-    if step_norm <= STEP_ZERO_TOL:
-        report = kkt_residual(prob, x, eta_next)
+    stationary = step_norm <= STEP_ZERO_TOL
+    if stationary:
         m_here = merit(prob, x, rho)
-        record = IterationRecord(
-            k=k,
-            wall_time=round(time.perf_counter() - t0, 6),
-            f=float(prob.objective.value(x.ambient)),
-            merit=m_here,
-            residual=report.residual,
-            rho=rho,
-            alpha=0.0,
-            step_norm=step_norm,
-            qp_status=sol.status,
-            backtracks=0,
-            merit_prev=m_here,
-            merit_reject=None,
-            quad_form=quad_form,
-            qp_kkt_error=sol.kkt_error,
-            report=report,
-            stationary=True,
-        )
-        return IterateState(x, eta_next, rho, k + 1), record
-
-    direction = basis.from_coords(d_hat)
-    ls = line_search(prob, x, direction, quad_form, rho, cfg)
+        ls = LineSearchResult(0.0, 0, x, m_here, m_here, None)
+    else:
+        ls = line_search(prob, x, basis.from_coords(d_hat), quad_form, rho, cfg)
     report = kkt_residual(prob, ls.x_next, eta_next)
     record = IterationRecord(
         k=k,
@@ -278,6 +265,7 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
         quad_form=quad_form,
         qp_kkt_error=sol.kkt_error,
         report=report,
+        stationary=stationary,
     )
     return IterateState(ls.x_next, eta_next, rho, k + 1), record
 
@@ -296,7 +284,8 @@ def solve(prob: Problem, x0: ManifoldPoint, eta0: Multipliers | None = None, cfg
 
     Returns (final IterateState, SolveTrace).  Verdicts: "converged" when
     the KKT residual fell to cfg.residual_tol, otherwise "max_iter",
-    "max_time", "stalled", "qp_infeasible" or "rank_drop".
+    "max_time", "stalled", "qp_infeasible" or "rank_drop".  A stalled,
+    infeasible or rank-drop run carries its cause in ``trace.reason``.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     eta = eta0 if eta0 is not None else Multipliers.zeros(prob.m, prob.n)
@@ -315,24 +304,18 @@ def solve(prob: Problem, x0: ManifoldPoint, eta0: Multipliers | None = None, cfg
             return state, trace
         try:
             state_next, record = step(prob, state, cfg, clock_origin=t0)
-        except QpInfeasibleError:
-            trace.verdict = "qp_infeasible"
-            return state, trace
-        except RankDropError:
-            trace.verdict = "rank_drop"
-            return state, trace
-        except StallError:
-            trace.verdict = "stalled"
+        except (QpInfeasibleError, RankDropError, StallError) as exc:
+            trace.verdict, trace.reason = _FAILURE_VERDICTS[type(exc)], str(exc)
             return state, trace
         trace.records.append(record)
-        if record.stationary:
-            trace.verdict = "converged" if record.residual <= cfg.residual_tol else "stalled"
-            return state_next, trace
         if record.residual <= cfg.residual_tol:
             trace.verdict = "converged"
             return state_next, trace
+        if record.stationary:
+            trace.verdict, trace.reason = "stalled", "subproblem step is zero above residual_tol"
+            return state_next, trace
         if _state_unchanged(state, state_next):
-            trace.verdict = "stalled"
+            trace.verdict, trace.reason = "stalled", "accepted step left the iterate unchanged"
             return state_next, trace
         state = state_next
 

@@ -183,6 +183,31 @@ def test_instance_dict_rejects_unknown_kind():
         m.instance_to_dict(object())
 
 
+def test_gen_instance_dispatches_by_family():
+    a = m.gen_instance("completion", 4, 8, p=2, seed=7)
+    b = m.gen_completion(4, 8, 2, seed=7)
+    assert np.array_equal(a.a, b.a) and a.observed == b.observed and a.pinned == b.pinned
+    c = m.gen_instance("balanced_cut", 30, 2, density=0.1, seed=4)
+    assert np.array_equal(c.laplacian, m.gen_balanced_cut(30, 2, 0.1, seed=4).laplacian)
+    with pytest.raises(ValueError, match="completion needs p"):
+        m.gen_instance("completion", 4, 8, density=0.1)
+    with pytest.raises(ValueError, match="balanced_cut needs density"):
+        m.gen_instance("balanced_cut", 30, 2, p=2)
+    with pytest.raises(ValueError):
+        m.gen_instance("knapsack", 4, 8, p=2)
+
+
+def test_problem_and_start_per_family():
+    cut = m.gen_balanced_cut(30, 2, 0.1, seed=4)
+    prob, x0 = m.problem_and_start(cut)
+    assert prob.name == m.cut_problem(cut).name
+    assert np.array_equal(x0.ambient, m.random_cut_start(cut).ambient)
+    comp = m.gen_completion(4, 8, 2, seed=7)
+    prob, x0 = m.problem_and_start(comp, start_tol=5e-2)
+    assert prob.name == m.completion_problem(comp).name
+    assert np.array_equal(x0.ambient, m.feasible_start(comp, tol=5e-2).ambient)
+
+
 def test_cut_generator_validates_density():
     with pytest.raises(ValueError):
         m.gen_balanced_cut(10, 2, -0.1, seed=1)

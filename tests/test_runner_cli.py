@@ -157,6 +157,78 @@ def test_run_artifacts_match_summary(tmp_path):
             assert by_trial[t][-6] != ""  # residual_tol = 1e-6 was reached
 
 
+def test_failed_start_is_recorded_and_the_batch_completes(tmp_path):
+    # no random start meets violation 0 exactly, so every feasibility phase fails
+    spec = m.RunSpec(problem="completion", q=4, s=8, p=2, trials=2, seed=0, start_tol=0.0)
+    out = tmp_path / "bench"
+    summary, traces = m.run(spec, out)
+
+    assert summary["successes"] == 0 and summary["success_ratio"] == 0.0
+    assert summary["verdicts"] == ["start_failed", "start_failed"]
+    assert all(r.startswith("feasibility phase did not reach") for r in summary["reasons"])
+    assert all(t > 0.0 for t in summary["elapsed_s"])
+    assert [t.reason for t in traces] == summary["reasons"]
+    with open(out / "summary.json") as fh:
+        assert json.load(fh) == summary
+    for t in range(2):
+        header, rows = read_csv(out / f"trial_{t:03d}.csv")
+        assert header == list(TRACE_COLUMNS) and rows == []
+    _, rows = read_csv(out / "decades.csv")
+    assert len(rows) == 2 * len(DECADE_EXPONENTS)
+    assert all(cell == "" for _, _, cell in rows)
+
+
+def test_cli_solve_matches_one_trial_run(tmp_path):
+    # both front ends take the solver defaults from SolverConfig
+    spec = m.RunSpec(problem="balanced_cut", q=30, s=2, density=0.1, trials=1, seed=5)
+    m.run(spec, tmp_path / "bench")
+    seed = trial_seed(spec.seed, 0)
+    cli_trace = tmp_path / "cli.csv"
+    rc = main(
+        ["solve", "--problem", "balanced_cut", "--q", "30", "--s", "2",
+         "--density", "0.1", "--seed", str(seed), "--trace", str(cli_trace)]
+    )
+    assert rc == 0
+    _, run_rows = read_csv(tmp_path / "bench" / "trial_000.csv")
+    _, cli_rows = read_csv(cli_trace)
+    assert len(run_rows) > 1
+    assert [r[:1] + r[2:] for r in cli_rows] == [r[:1] + r[2:] for r in run_rows]
+
+
+def test_cli_solve_cut_seed_that_stalled_at_the_cli_only_floor():
+    # with delta=1e-8 and qp_tol=1e-8 this instance stalls at iteration 4
+    rc = main(
+        ["solve", "--problem", "balanced_cut", "--q", "30", "--s", "2",
+         "--density", "0.1", "--seed", "7"]
+    )
+    assert rc == 0
+
+
+def test_cli_solve_prints_the_stall_reason(capsys):
+    rc = main(
+        ["solve", "--problem", "balanced_cut", "--q", "30", "--s", "2",
+         "--density", "0.1", "--seed", "25", "--delta", "1e-8", "--qp-tol", "1e-8"]
+    )
+    assert rc == 12
+    out = capsys.readouterr().out
+    assert "verdict=stalled iters=0" in out
+    assert "reason='subproblem solver failed to certify at iteration 0'" in out
+
+
+def test_cli_invalid_solver_values_exit_2(tmp_path, capsys):
+    base = ["solve", "--problem", "completion", "--q", "4", "--s", "8", "--p", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--beta", "1.5"])
+    assert exc.value.code == 2
+    assert "beta must lie in (0, 1)" in capsys.readouterr().err
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"problem": "completion", "q": 4, "s": 8, "p": 2, "solver": {"delta": 0.0}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_cli_gen_matches_generator(tmp_path):
     path = tmp_path / "inst.json"
     rc = main(

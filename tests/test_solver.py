@@ -186,6 +186,7 @@ def test_stationary_start_terminates_immediately():
     eta0 = m.Multipliers(np.zeros(0), np.array([lam_star]))
     state, trace = m.solve(prob, x0, eta0, m.SolverConfig(residual_tol=1e-8))
     assert trace.verdict == "converged"
+    assert trace.reason == ""
     assert len(trace.records) == 1
     rec = trace.records[0]
     assert rec.stationary
@@ -231,6 +232,7 @@ def test_verdict_qp_infeasible():
     prob = m.Problem(man, obj, (), (h1, h2))
     state, trace = m.solve(prob, man.point(np.array([0.3, 0.0])))
     assert trace.verdict == "qp_infeasible"
+    assert trace.reason == "subproblem infeasible at iteration 0"
     assert trace.records == []
 
 
@@ -258,6 +260,19 @@ def test_verdict_stalled_on_tiny_backtrack_budget():
     cfg = m.SolverConfig(gamma=0.99, max_backtracks=0, residual_tol=1e-14)
     state, trace = m.solve(prob, x0, cfg=cfg)
     assert trace.verdict == "stalled"
+    assert trace.reason == "no acceptable step within 0 backtracks"
+
+
+def test_stall_reason_for_uncertified_cut_subproblem():
+    # the floor delta=1e-8 admits steps of norm ~1e8 whose subproblem
+    # certificate misses qp_tol=1e-8 before the first step is taken
+    inst = m.gen_balanced_cut(30, 2, 0.1, seed=25)
+    prob = m.cut_problem(inst)
+    cfg = m.SolverConfig(delta=1e-8, qp_tol=1e-8, seed=25)
+    _, trace = m.solve(prob, m.random_cut_start(inst), cfg=cfg)
+    assert trace.verdict == "stalled"
+    assert trace.records == []
+    assert trace.reason == "subproblem solver failed to certify at iteration 0"
 
 
 def test_solver_is_deterministic():
