@@ -10,7 +10,7 @@ import sys
 from .instances import FAMILIES, START_TOL, gen_instance, instance_to_dict, problem_and_start
 from .problem import Multipliers
 from .runner import RunSpec, run, write_trace_csv
-from .solver import B_STRATEGIES, SolverConfig, solve
+from .solver import B_STRATEGIES, SolverConfig, SolveTrace, solve
 
 EXIT_CODES = {
     "converged": 0,
@@ -19,6 +19,7 @@ EXIT_CODES = {
     "stalled": 12,
     "qp_infeasible": 13,
     "rank_drop": 14,
+    "start_failed": 15,
 }
 
 
@@ -89,9 +90,13 @@ def _cmd_solve(parser, args) -> int:
         cfg = SolverConfig(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         parser.error(str(exc))
-    prob, x0 = problem_and_start(_gen_instance(parser, args), args.start_tol)
-
-    state, trace = solve(prob, x0, Multipliers.zeros(prob.m, prob.n), cfg)
+    inst = _gen_instance(parser, args)
+    try:
+        prob, x0 = problem_and_start(inst, args.start_tol)
+    except RuntimeError as exc:
+        trace = SolveTrace(verdict="start_failed", reason=str(exc))
+    else:
+        _, trace = solve(prob, x0, Multipliers.zeros(prob.m, prob.n), cfg)
     if args.trace:
         write_trace_csv(args.trace, trace.records, wall_times=args.wall_times)
     last = trace.records[-1] if trace.records else None

@@ -161,6 +161,8 @@ class CutInstance:
 
 def gen_balanced_cut(q: int, s: int, density: float, seed: int) -> CutInstance:
     """Laplacian of a random graph with independent edge probability `density`."""
+    if s < 2:
+        raise ValueError("need s >= 2")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     rng = _instance_rng(seed)

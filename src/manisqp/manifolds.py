@@ -11,15 +11,14 @@ space and carrying the metric induced by the ambient inner product:
   factored triple (U, sigma, V) with U, V column-orthonormal and sigma > 0.
 
 Tangent vectors are stored in the ambient shape for every manifold,
-including FixedRank.  That keeps inner products, Gram-Schmidt and basis
-coordinate arithmetic uniform across manifolds at the matrix sizes this
-package targets.
+including FixedRank.  That keeps inner products, the QR-drawn tangent basis
+and basis coordinate arithmetic uniform across manifolds at the matrix
+sizes this package targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,8 +39,8 @@ __all__ = [
     "random_point",
 ]
 
-# Candidate tangent directions with post-projection norm below this are
-# discarded and redrawn during basis generation.
+# A block of candidate tangent directions is redrawn when one of them keeps
+# less than this norm after orthogonalization against the ones before it.
 GRAM_SCHMIDT_REJECT = 1e-8
 
 # Retraction onto FixedRank fails when the p-th singular value falls below
@@ -112,20 +111,15 @@ def inner(u: TangentVector, v: TangentVector) -> float:
 class TangentBasis:
     """An orthonormal basis of a tangent space.
 
-    ``vectors`` has exactly ``manifold.dim`` entries.  ``matrix`` stacks the
-    raveled basis vectors as rows, so coordinates of a tangent vector are a
-    single matrix-vector product.
+    ``matrix`` holds the ``manifold.dim`` raveled basis vectors as rows, so
+    coordinates of a tangent vector are a single matrix-vector product.
     """
 
     point: ManifoldPoint
-    vectors: tuple[TangentVector, ...]
+    matrix: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.vectors)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return _readonly(np.array([v.data.ravel() for v in self.vectors]))
+        return self.matrix.shape[0]
 
     def coords(self, v: TangentVector) -> np.ndarray:
         if not _same_point(v.point, self.point):
@@ -134,7 +128,7 @@ class TangentBasis:
 
     def from_coords(self, coeffs: np.ndarray) -> TangentVector:
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (len(self.vectors),):
+        if coeffs.shape != (len(self),):
             raise ValueError("coefficient vector has wrong length")
         data = (coeffs @ self.matrix).reshape(self.point.ambient.shape)
         return TangentVector(self.point, _readonly(data))
@@ -430,32 +424,22 @@ def random_point(manifold: Manifold, seed) -> ManifoldPoint:
 
 
 def orthonormal_basis(x: ManifoldPoint, seed) -> TangentBasis:
-    """Draw a random orthonormal basis of T_x via modified Gram-Schmidt.
+    """Draw a random orthonormal basis of T_x.
 
-    Gaussian ambient candidates are projected to the tangent space and
-    orthogonalized against the accepted vectors twice (one reorthogonalization
-    pass).  Candidates whose remaining norm falls below ``GRAM_SCHMIDT_REJECT``
-    are discarded and redrawn.  Deterministic for a fixed seed.
+    ``dim`` Gaussian ambient candidates are projected to the tangent space
+    and QR-factored with a positive diagonal in R, which is Gram-Schmidt on
+    the candidates in draw order.  If a candidate's norm after
+    orthogonalization against the ones before it (|r_ii|) falls below
+    ``GRAM_SCHMIDT_REJECT``, the whole block is redrawn.  Deterministic for a
+    fixed seed.
     """
     man = x.manifold
     rng = np.random.default_rng(seed)
-    d = man.dim
-    rows: list[np.ndarray] = []
-    attempts = 0
-    budget = 50 * d + 50
-    while len(rows) < d:
-        if attempts >= budget:
-            raise RuntimeError("orthonormal basis generation failed to converge")
-        attempts += 1
-        cand = man.project_array(x, rng.standard_normal(man.ambient_shape))
-        v = cand.ravel()
-        for _ in range(2):
-            for q in rows:
-                v = v - np.dot(q, v) * q
-        nrm = np.linalg.norm(v)
-        if nrm < GRAM_SCHMIDT_REJECT:
-            continue
-        rows.append(v / nrm)
-    shape = man.ambient_shape
-    vectors = tuple(TangentVector(x, _readonly(r.reshape(shape))) for r in rows)
-    return TangentBasis(x, vectors)
+    for _ in range(50):
+        draws = rng.standard_normal((man.dim, *man.ambient_shape))
+        cands = np.array([man.project_array(x, a) for a in draws]).reshape(man.dim, x.ambient.size)
+        q, r = np.linalg.qr(cands.T)
+        diag = np.diag(r)
+        if np.all(np.abs(diag) >= GRAM_SCHMIDT_REJECT):
+            return TangentBasis(x, _readonly((q * np.sign(diag)).T))
+    raise RuntimeError("orthonormal basis generation failed to converge")

@@ -134,9 +134,10 @@ def lagrangian_hessian_matrix(prob: Problem, x: ManifoldPoint, eta: Multipliers,
     d = len(basis)
     grad_amb = _ambient_lagrangian_gradient(prob, x, eta)
     mat = np.empty((d, d))
-    for i, e in enumerate(basis.vectors):
-        hv = _ambient_lagrangian_hess_vec(prob, x, eta, e.data)
-        hess_e = man.project_array(x, hv) + man.weingarten(x, e.data, grad_amb)
+    for i, row in enumerate(basis.matrix):
+        e = row.reshape(x.ambient.shape)
+        hv = _ambient_lagrangian_hess_vec(prob, x, eta, e)
+        hess_e = man.project_array(x, hv) + man.weingarten(x, e, grad_amb)
         mat[i] = basis.matrix @ hess_e.ravel()
     return (mat + mat.T) / 2.0
 

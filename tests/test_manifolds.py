@@ -247,9 +247,38 @@ def test_orthonormal_basis_properties():
         assert len(basis) == man.dim
         gram = basis.matrix @ basis.matrix.T
         assert np.max(np.abs(gram - np.eye(man.dim))) < 1e-12
-        for vec in basis.vectors:
-            p = man.project_array(x, vec.data)
-            assert np.max(np.abs(p - vec.data)) < 1e-12
+        for row in basis.matrix:
+            vec = row.reshape(man.ambient_shape)
+            p = man.project_array(x, vec)
+            assert np.max(np.abs(p - vec)) < 1e-12
+
+
+def test_orthonormal_basis_is_gram_schmidt_of_the_draws():
+    # B C^T upper triangular with a positive diagonal holds exactly when the
+    # rows of B are Gram-Schmidt of the candidate rows of C in draw order
+    for man in all_manifolds():
+        x = m.random_point(man, 191)
+        for seed in (192, 193, 194):
+            rng = np.random.default_rng(seed)
+            cands = np.array(
+                [man.project_array(x, rng.standard_normal(man.ambient_shape)).ravel() for _ in range(man.dim)]
+            )
+            r = m.orthonormal_basis(x, seed).matrix @ cands.T
+            assert np.max(np.abs(np.tril(r, -1))) <= 1e-10
+            assert np.all(np.diag(r) > 0.0)
+
+
+def test_orthonormal_basis_redraws_a_degenerate_block():
+    # random_point draws x from the same seed, so the first candidate is x
+    # itself, which projects to ~1e-16 and forces a redraw
+    for man in (m.Sphere(6), m.Oblique(6, 3)):
+        x = m.random_point(man, 1)
+        basis = m.orthonormal_basis(x, 1)
+        gram = basis.matrix @ basis.matrix.T
+        assert np.max(np.abs(gram - np.eye(man.dim))) < 1e-12
+        for row in basis.matrix:
+            vec = row.reshape(man.ambient_shape)
+            assert np.max(np.abs(man.project_array(x, vec) - vec)) < 1e-12
 
 
 def test_orthonormal_basis_determinism():

@@ -86,13 +86,7 @@ def test_build_subproblem_unconstrained_euclidean_canonical():
     )
     prob = m.Problem(man, obj)
     x = man.point(np.array([0.3, -0.5]))
-    basis = m.TangentBasis(
-        x,
-        (
-            m.TangentVector(x, np.array([1.0, 0.0])),
-            m.TangentVector(x, np.array([0.0, 1.0])),
-        ),
-    )
+    basis = m.TangentBasis(x, np.eye(2))
     model = m.build_subproblem(prob, x, basis, np.eye(2))
     assert model.dims == (2, 0, 0)
     assert np.max(np.abs(model.c - np.array([0.6, -1.0]))) < 1e-15
@@ -114,13 +108,7 @@ def test_build_subproblem_sphere_example():
         hess_vec=lambda x, v: np.zeros(3),
     )
     prob = m.Problem(man, obj, (g1,), ())
-    basis = m.TangentBasis(
-        x,
-        (
-            m.TangentVector(x, np.array([1.0, 0.0, 0.0])),
-            m.TangentVector(x, np.array([0.0, 1.0, 0.0])),
-        ),
-    )
+    basis = m.TangentBasis(x, np.eye(3)[:2])
     model = m.build_subproblem(prob, x, basis, np.eye(2))
     assert np.max(np.abs(model.A_ineq - np.array([[1.0, 0.0]]))) < 1e-15
     assert np.max(np.abs(model.b_ineq - np.array([0.0]))) < 1e-15

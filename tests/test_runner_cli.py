@@ -207,12 +207,34 @@ def test_cli_solve_cut_seed_that_stalled_at_the_cli_only_floor():
 def test_cli_solve_prints_the_stall_reason(capsys):
     rc = main(
         ["solve", "--problem", "balanced_cut", "--q", "30", "--s", "2",
-         "--density", "0.1", "--seed", "25", "--delta", "1e-8", "--qp-tol", "1e-8"]
+         "--density", "0.1", "--seed", "16", "--delta", "1e-8", "--qp-tol", "1e-8"]
     )
     assert rc == 12
     out = capsys.readouterr().out
     assert "verdict=stalled iters=0" in out
     assert "reason='subproblem solver failed to certify at iteration 0'" in out
+
+
+def test_cli_solve_reports_a_failed_start(tmp_path, capsys):
+    # no random start meets violation 0 exactly, so the feasibility phase fails
+    path = tmp_path / "trace.csv"
+    rc = main(
+        ["solve", "--problem", "completion", "--q", "4", "--s", "8", "--p", "2",
+         "--start-tol", "0", "--trace", str(path)]
+    )
+    assert rc == 15
+    out = capsys.readouterr().out
+    assert "verdict=start_failed iters=0 reason='feasibility phase did not reach" in out
+    header, rows = read_csv(path)
+    assert header == list(TRACE_COLUMNS) and rows == []
+
+
+def test_cli_cut_with_one_column_is_a_usage_error(tmp_path, capsys):
+    for cmd in (["solve"], ["gen", "--out", str(tmp_path / "x.json")]):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--problem", "balanced_cut", "--q", "5", "--s", "1", "--density", "0.5"])
+        assert exc.value.code == 2
+        assert "need s >= 2" in capsys.readouterr().err
 
 
 def test_cli_invalid_solver_values_exit_2(tmp_path, capsys):
