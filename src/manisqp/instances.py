@@ -30,7 +30,7 @@ __all__ = [
     "START_TOL",
     "CompletionInstance",
     "CutInstance",
-    "family_size",
+    "instance_size",
     "gen_instance",
     "problem_and_start",
     "gen_completion",
@@ -90,8 +90,7 @@ def gen_completion(q: int, s: int, p: int, seed: int) -> CompletionInstance:
     A is a product of two uniform[0, 1) factors, resampled until its rank
     is exactly p.  |observed| = ceil(qs / 2) and |pinned| = ceil(|observed| / 2).
     """
-    if not 1 <= p <= min(q, s):
-        raise ValueError("need 1 <= p <= min(q, s)")
+    instance_size("completion", q, s, p=p)
     rng = _instance_rng(seed)
     while True:
         a = rng.random((q, p)) @ rng.random((p, s))
@@ -161,10 +160,7 @@ class CutInstance:
 
 def gen_balanced_cut(q: int, s: int, density: float, seed: int) -> CutInstance:
     """Laplacian of a random graph with independent edge probability `density`."""
-    if s < 2:
-        raise ValueError("need s >= 2")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
+    instance_size("balanced_cut", q, s, density=density)
     rng = _instance_rng(seed)
     w = np.zeros((q, q))
     upper = np.triu(rng.random((q, q)) < density, k=1)
@@ -327,22 +323,33 @@ def feasible_start(
     raise RuntimeError(f"feasibility phase did not reach violation {tol} in {max_iter} iterations")
 
 
-def family_size(problem: str, p: int | None = None, density: float | None = None):
+def instance_size(problem: str, q: int, s: int, p: int | None = None, density: float | None = None):
     """The size argument of a family: p for completion, density for balanced cut.
 
-    Raises ValueError for an unknown family or a missing size argument.
+    Raises ValueError for an unknown family, a missing size argument or a
+    shape the family cannot have: completion needs 1 <= p <= min(q, s),
+    balanced cut needs q >= 1, s >= 2 and density in [0, 1].
     """
     if problem not in FAMILIES:
         raise ValueError(f"problem must be one of {FAMILIES}")
     name, size = ("p", p) if problem == "completion" else ("density", density)
     if size is None:
         raise ValueError(f"{problem} needs {name}")
+    if problem == "completion":
+        if not 1 <= p <= min(q, s):
+            raise ValueError("need 1 <= p <= min(q, s)")
+    elif q < 1:
+        raise ValueError("need q >= 1")
+    elif s < 2:
+        raise ValueError("need s >= 2")
+    elif not 0.0 <= density <= 1.0:
+        raise ValueError("density must lie in [0, 1]")
     return size
 
 
 def gen_instance(problem: str, q: int, s: int, p: int | None = None, density: float | None = None, seed: int = 0):
-    """Generate an instance of the named family; see ``family_size`` for the errors."""
-    size = family_size(problem, p, density)
+    """Generate an instance of the named family; see ``instance_size`` for the errors."""
+    size = instance_size(problem, q, s, p, density)
     gen = gen_completion if problem == "completion" else gen_balanced_cut
     return gen(q, s, size, seed)
 

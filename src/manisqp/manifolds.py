@@ -135,7 +135,12 @@ class TangentBasis:
 
 
 class Manifold:
-    """Shared interface.  Subclasses fill in the array-level geometry."""
+    """Shared interface.  Subclasses fill in the array-level geometry.
+
+    ``project_array`` and the direction ``z`` of ``weingarten`` may carry
+    leading batch axes in front of the ambient shape: a stack of k arrays
+    maps to the stack of the k results.
+    """
 
     dim: int
     ambient_shape: tuple[int, ...]
@@ -233,7 +238,7 @@ class Sphere(Manifold):
 
     def project_array(self, x, a):
         a = np.asarray(a, dtype=float)
-        return a - np.dot(x.ambient, a) * x.ambient
+        return a - (a @ x.ambient)[..., None] * x.ambient
 
     def retract_array(self, x, a):
         z = x.ambient + a
@@ -277,7 +282,7 @@ class Oblique(Manifold):
 
     def project_array(self, x, a):
         a = np.asarray(a, dtype=float)
-        row_dots = np.sum(x.ambient * a, axis=1, keepdims=True)
+        row_dots = np.sum(x.ambient * a, axis=-1, keepdims=True)
         return a - row_dots * x.ambient
 
     def retract_array(self, x, a):
@@ -370,12 +375,12 @@ class FixedRank(Manifold):
         u, sigma, v = x.factors
         zv = z @ v
         up = zv - u @ (u.T @ zv)
-        ztu = z.T @ u
+        ztu = np.swapaxes(z, -1, -2) @ u
         vp = ztu - v @ (v.T @ ztu)
         gv = g @ (vp / sigma)
         term1 = (gv - u @ (u.T @ gv)) @ v.T
         gu = g.T @ (up / sigma)
-        term2 = u @ (gu - v @ (v.T @ gu)).T
+        term2 = u @ np.swapaxes(gu - v @ (v.T @ gu), -1, -2)
         return term1 + term2
 
     def random_array(self, rng):
@@ -437,7 +442,7 @@ def orthonormal_basis(x: ManifoldPoint, seed) -> TangentBasis:
     rng = np.random.default_rng(seed)
     for _ in range(50):
         draws = rng.standard_normal((man.dim, *man.ambient_shape))
-        cands = np.array([man.project_array(x, a) for a in draws]).reshape(man.dim, x.ambient.size)
+        cands = man.project_array(x, draws).reshape(man.dim, x.ambient.size)
         q, r = np.linalg.qr(cands.T)
         diag = np.diag(r)
         if np.all(np.abs(diag) >= GRAM_SCHMIDT_REJECT):

@@ -79,16 +79,14 @@ class Problem:
 GradientSelector = Union[str, tuple, Multipliers]
 
 
-def _ambient_lagrangian_gradient(prob: Problem, x: ManifoldPoint, eta: Multipliers) -> np.ndarray:
-    xa = x.ambient
-    g = np.array(prob.objective.gradient(xa), dtype=float)
-    for coef, fn in zip(eta.mu, prob.inequalities):
-        if coef != 0.0:
-            g = g + coef * fn.gradient(xa)
-    for coef, fn in zip(eta.lam, prob.equalities):
-        if coef != 0.0:
-            g = g + coef * fn.gradient(xa)
-    return g
+def _ambient_lagrangian(prob: Problem, eta: Multipliers, term: Callable[[SmoothFunction], np.ndarray]) -> np.ndarray:
+    """term(f) + sum mu_i term(g_i) + sum lam_j term(h_j), skipping zero multipliers."""
+    out = np.array(term(prob.objective), dtype=float)
+    for coefs, fns in ((eta.mu, prob.inequalities), (eta.lam, prob.equalities)):
+        for coef, fn in zip(coefs, fns):
+            if coef != 0.0:
+                out = out + coef * term(fn)
+    return out
 
 
 def riemannian_gradient(prob: Problem, x: ManifoldPoint, which: GradientSelector = "objective") -> TangentVector:
@@ -99,7 +97,7 @@ def riemannian_gradient(prob: Problem, x: ManifoldPoint, which: GradientSelector
     f + sum mu_i g_i + sum lam_j h_j.
     """
     if isinstance(which, Multipliers):
-        return project_tangent(x, _ambient_lagrangian_gradient(prob, x, which))
+        return project_tangent(x, _ambient_lagrangian(prob, which, lambda fn: fn.gradient(x.ambient)))
     if which == "objective":
         return project_tangent(x, prob.objective.gradient(x.ambient))
     kind, idx = which
@@ -110,35 +108,27 @@ def riemannian_gradient(prob: Problem, x: ManifoldPoint, which: GradientSelector
     raise ValueError(f"unknown gradient selector: {which!r}")
 
 
-def _ambient_lagrangian_hess_vec(prob: Problem, x: ManifoldPoint, eta: Multipliers, v: np.ndarray) -> np.ndarray:
-    xa = x.ambient
-    hv = np.array(prob.objective.hess_vec(xa, v), dtype=float)
-    for coef, fn in zip(eta.mu, prob.inequalities):
-        if coef != 0.0:
-            hv = hv + coef * fn.hess_vec(xa, v)
-    for coef, fn in zip(eta.lam, prob.equalities):
-        if coef != 0.0:
-            hv = hv + coef * fn.hess_vec(xa, v)
-    return hv
-
-
 def lagrangian_hessian_matrix(prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: TangentBasis) -> np.ndarray:
     """Coordinate matrix of the Riemannian Hessian of the Lagrangian.
 
     Entry (i, j) is <Hess L(x)[e_i], e_j> in the given orthonormal basis.
-    Each column is assembled from the projected ambient Hessian-vector
-    product plus the manifold curvature correction applied to the ambient
-    Lagrangian gradient; the result is symmetrized by averaging.
+    Hess L(x)[e] is P_x(ambient Hessian of L applied to e) plus the
+    manifold's curvature term W_x(e, ambient gradient of L).  The basis
+    vectors are tangent and P_x is an orthogonal projection, so
+    <P_x a, e_j> = <a, e_j>: the projection is skipped and the stacked
+    ambient actions are contracted with the basis in one product.  The
+    Hessian-vector callbacks take one direction each; the curvature term
+    takes the whole stack.  The result is symmetrized by averaging.
     """
-    man = prob.manifold
+    xa = x.ambient
     d = len(basis)
-    grad_amb = _ambient_lagrangian_gradient(prob, x, eta)
-    mat = np.empty((d, d))
-    for i, row in enumerate(basis.matrix):
-        e = row.reshape(x.ambient.shape)
-        hv = _ambient_lagrangian_hess_vec(prob, x, eta, e)
-        hess_e = man.project_array(x, hv) + man.weingarten(x, e, grad_amb)
-        mat[i] = basis.matrix @ hess_e.ravel()
+    stack = basis.matrix.reshape(d, *xa.shape)
+    grad = _ambient_lagrangian(prob, eta, lambda fn: fn.gradient(xa))
+    hess = np.empty(stack.shape)
+    for i, e in enumerate(stack):
+        hess[i] = _ambient_lagrangian(prob, eta, lambda fn: fn.hess_vec(xa, e))
+    hess += prob.manifold.weingarten(x, stack, grad)
+    mat = hess.reshape(d, xa.size) @ basis.matrix.T
     return (mat + mat.T) / 2.0
 
 

@@ -146,17 +146,11 @@ def build_subproblem(prob: Problem, x: ManifoldPoint, basis: TangentBasis, h_plu
     bm = basis.matrix
     c = bm @ np.asarray(prob.objective.gradient(xa), dtype=float).ravel()
     g, h = constraint_values(prob, x)
-    if prob.m:
-        grads = np.array([fn.gradient(xa).ravel() for fn in prob.inequalities])
-        a_ineq = grads @ bm.T
-    else:
-        a_ineq = np.zeros((0, d))
-    if prob.n:
-        grads = np.array([fn.gradient(xa).ravel() for fn in prob.equalities])
-        a_eq = grads @ bm.T
-    else:
-        a_eq = np.zeros((0, d))
-    return QpModel(H=h_plus, c=c, A_ineq=a_ineq, b_ineq=-g, A_eq=a_eq, b_eq=-h)
+
+    def rows(fns):
+        return np.array([fn.gradient(xa).ravel() for fn in fns]).reshape(len(fns), xa.size) @ bm.T
+
+    return QpModel(H=h_plus, c=c, A_ineq=rows(prob.inequalities), b_ineq=-g, A_eq=rows(prob.equalities), b_eq=-h)
 
 
 def kkt_violation(model: QpModel, d: np.ndarray, mu: np.ndarray, lam: np.ndarray) -> float:

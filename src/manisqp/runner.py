@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instances import START_TOL, family_size, gen_instance, problem_and_start
+from .instances import START_TOL, gen_instance, instance_size, problem_and_start
 from .problem import Multipliers
 from .solver import SolverConfig, SolveTrace, solve
 
@@ -58,15 +58,17 @@ class RunSpec:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        family_size(self.problem, self.p, self.density)
+        instance_size(self.problem, self.q, self.s, self.p, self.density)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 
     @staticmethod
     def from_dict(d: dict) -> "RunSpec":
         d = dict(d)
-        solver = SolverConfig(**d.pop("solver", {}))
-        return RunSpec(solver=solver, **d)
+        try:
+            return RunSpec(solver=SolverConfig(**d.pop("solver", {})), **d)
+        except TypeError as exc:  # an unknown or missing key, or a value of the wrong type
+            raise ValueError(f"invalid run spec: {exc}") from None
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)

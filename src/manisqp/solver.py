@@ -105,8 +105,9 @@ class SolverConfig:
             raise ValueError(f"b_strategy must be one of {B_STRATEGIES}")
         if self.qp_tol <= 0.0:
             raise ValueError("qp_tol must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for name in ("residual_tol", "max_iter", "max_time", "max_backtracks", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)

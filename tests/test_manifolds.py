@@ -229,6 +229,21 @@ def test_weingarten_matches_projector_derivative():
             assert np.max(np.abs(man.project_array(x, w) - w)) < 1e-10
 
 
+def test_array_geometry_acts_on_stacks():
+    # leading axes are a batch: a (k, *shape) stack maps slice by slice
+    for man in all_manifolds():
+        x = m.random_point(man, 151)
+        rng = np.random.default_rng(152)
+        stack = rng.normal(size=(3, *man.ambient_shape))
+        g = rng.normal(size=man.ambient_shape)
+        tangent = man.project_array(x, stack)
+        w = man.weingarten(x, tangent, g)
+        assert tangent.shape == w.shape == stack.shape
+        for k in range(3):
+            assert np.max(np.abs(tangent[k] - man.project_array(x, stack[k]))) < 1e-14
+            assert np.max(np.abs(w[k] - man.weingarten(x, tangent[k], g))) < 1e-14
+
+
 def test_sphere_weingarten_closed_form():
     sph = m.Sphere(5)
     x = m.random_point(sph, 131)

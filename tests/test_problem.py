@@ -86,6 +86,36 @@ def test_sphere_tilt_hessian_is_identity_at_solution():
     assert np.max(np.abs(hl - np.eye(2))) < 1e-12
 
 
+def test_lagrangian_hessian_matches_the_per_row_formula():
+    # oracle: project each ambient Hessian-vector product, add its own
+    # curvature term and contract with the basis, one basis row at a time
+    for name, prob, x in bundled_problems(seed=9):
+        rng = np.random.default_rng(91)
+        eta = m.Multipliers(rng.normal(size=prob.m), rng.normal(size=prob.n))
+        basis = m.orthonormal_basis(x, 92)
+        man, xa = prob.manifold, x.ambient
+        fns = (prob.objective,) + prob.inequalities + prob.equalities
+        coefs = np.concatenate(([1.0], eta.mu, eta.lam))
+        grad = sum(c * fn.gradient(xa) for c, fn in zip(coefs, fns))
+        rows = []
+        for b in basis.matrix:
+            e = b.reshape(xa.shape)
+            hv = sum(c * fn.hess_vec(xa, e) for c, fn in zip(coefs, fns))
+            rows.append(basis.matrix @ (man.project_array(x, hv) + man.weingarten(x, e, grad)).ravel())
+        expected = (np.array(rows) + np.array(rows).T) / 2.0
+        hl = m.lagrangian_hessian_matrix(prob, x, eta, basis)
+        assert np.max(np.abs(hl - expected)) < 1e-12 * (1.0 + np.linalg.norm(expected)), name
+
+
+def test_lagrangian_hessian_of_a_zero_dimensional_manifold_is_empty():
+    man = m.Oblique(3, 1)
+    x = man.point(np.ones((3, 1)))
+    zero = m.SmoothFunction(lambda x: 0.0, lambda x: np.zeros(x.shape), lambda x, v: np.zeros(v.shape))
+    prob = m.Problem(man, zero)
+    hl = m.lagrangian_hessian_matrix(prob, x, m.Multipliers.zeros(0, 0), m.orthonormal_basis(x, 0))
+    assert hl.shape == (0, 0)
+
+
 def test_hessian_matches_second_differences():
     # quadratic form through the coordinate matrix vs a second difference
     # along exp (or the projection retraction where no exp exists); both

@@ -110,6 +110,15 @@ def test_runspec_roundtrip_and_validation():
         m.RunSpec(problem="completion", q=4, s=8)  # p missing
     with pytest.raises(ValueError):
         m.RunSpec(problem="balanced_cut", q=30, s=2)  # density missing
+    bad_shapes = (
+        dict(problem="balanced_cut", q=5, s=1, density=0.5),
+        dict(problem="balanced_cut", q=0, s=2, density=0.5),
+        dict(problem="balanced_cut", q=5, s=2, density=1.5),
+        dict(problem="completion", q=4, s=8, p=9),
+    )
+    for kwargs in bad_shapes:
+        with pytest.raises(ValueError):
+            m.RunSpec(**kwargs)
 
 
 def test_run_artifacts_match_summary(tmp_path):
@@ -230,11 +239,17 @@ def test_cli_solve_reports_a_failed_start(tmp_path, capsys):
 
 
 def test_cli_cut_with_one_column_is_a_usage_error(tmp_path, capsys):
+    bad = (
+        (["--q", "5", "--s", "1", "--density", "0.5"], "need s >= 2"),
+        (["--q", "0", "--s", "2", "--density", "0.5"], "need q >= 1"),
+        (["--q", "5", "--s", "2", "--density", "1.5"], "density must lie in [0, 1]"),
+    )
     for cmd in (["solve"], ["gen", "--out", str(tmp_path / "x.json")]):
-        with pytest.raises(SystemExit) as exc:
-            main(cmd + ["--problem", "balanced_cut", "--q", "5", "--s", "1", "--density", "0.5"])
-        assert exc.value.code == 2
-        assert "need s >= 2" in capsys.readouterr().err
+        for args, message in bad:
+            with pytest.raises(SystemExit) as exc:
+                main(cmd + ["--problem", "balanced_cut"] + args)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
 
 def test_cli_invalid_solver_values_exit_2(tmp_path, capsys):
@@ -243,12 +258,24 @@ def test_cli_invalid_solver_values_exit_2(tmp_path, capsys):
         main(base + ["--beta", "1.5"])
     assert exc.value.code == 2
     assert "beta must lie in (0, 1)" in capsys.readouterr().err
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"problem": "completion", "q": 4, "s": 8, "p": 2, "solver": {"delta": 0.0}}))
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+        main(base + ["--max-iter", "-3"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert "max_iter must be nonnegative" in capsys.readouterr().err
+    comp = {"problem": "completion", "q": 4, "s": 8, "p": 2}
+    bad_specs = (
+        ({**comp, "solver": {"delta": 0.0}}, "delta must be positive"),
+        ({"problem": "balanced_cut", "q": 0, "s": 2, "density": 0.5}, "need q >= 1"),
+        ({**comp, "bogus": 1}, "bogus"),
+        ({**comp, "solver": {"foo": 1}}, "foo"),
+    )
+    spec_path = tmp_path / "spec.json"
+    for spec, message in bad_specs:
+        spec_path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_gen_matches_generator(tmp_path):

@@ -49,6 +49,11 @@ def test_solver_config_validation():
         m.SolverConfig(qp_tol=0.0)
     with pytest.raises(ValueError):
         m.SolverConfig(seed=-1)
+    for name in ("max_iter", "max_backtracks", "max_time", "residual_tol"):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            m.SolverConfig(**{name: -1})
+    # zero stays valid: the feasibility phase runs with residual_tol=0.0
+    m.SolverConfig(residual_tol=0.0, max_iter=0, max_backtracks=0, max_time=0.0)
 
 
 def test_update_penalty_examples():
