@@ -17,6 +17,7 @@ oblique manifold relax the indicator vectors of a vertex partition:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,14 +328,19 @@ def instance_size(problem: str, q: int, s: int, p: int | None = None, density: f
     """The size argument of a family: p for completion, density for balanced cut.
 
     Raises ValueError for an unknown family, a missing size argument or a
-    shape the family cannot have: completion needs 1 <= p <= min(q, s),
-    balanced cut needs q >= 1, s >= 2 and density in [0, 1].
+    shape the family cannot have: q, s and (completion) p are integers,
+    completion needs 1 <= p <= min(q, s), balanced cut needs q >= 1, s >= 2
+    and density in [0, 1].
     """
     if problem not in FAMILIES:
         raise ValueError(f"problem must be one of {FAMILIES}")
     name, size = ("p", p) if problem == "completion" else ("density", density)
     if size is None:
         raise ValueError(f"{problem} needs {name}")
+    counts = {"q": q, "s": s, "p": p} if problem == "completion" else {"q": q, "s": s}
+    for key, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{key} must be an integer")
     if problem == "completion":
         if not 1 <= p <= min(q, s):
             raise ValueError("need 1 <= p <= min(q, s)")

@@ -13,16 +13,20 @@ Two routes are used internally: problems without inequality rows reduce to
 a single saddle-point solve (null-space method with one refinement pass),
 everything else goes through a Mehrotra-style predictor-corrector interior
 point iteration on the slack form.  Infeasibility is decided by an elastic
-phase-1 linear program that minimizes the total constraint violation.
+phase-1 linear program that minimizes the total constraint violation.  It
+runs at most once per model: when the interior-point path ends uncertified,
+or earlier, after ``_IPM_PHASE1_ITER`` uncertified iterations, where a
+minimum violation above (m + n) * tol ends the path at once, because no
+point of the model could then be certified.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.optimize import linprog
 
 from .manifolds import ManifoldPoint, TangentBasis, _readonly
@@ -46,6 +50,10 @@ INFEASIBILITY_TOL = 1e-8
 MU_CLAMP = 1e-10
 
 _IPM_MAX_ITER = 100
+# Uncertified interior-point iterations after which the phase-1 LP runs
+# once and an infeasible model is decided.  Certified subproblems of the
+# completion workloads (4x8, 5x10) take at most 20 iterations.
+_IPM_PHASE1_ITER = 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +106,16 @@ class QpModel:
 
 @dataclass(frozen=True, eq=False)
 class QpSolution:
+    """Result of ``solve_qp``.
+
+    ``d`` and ``eta`` are the certified point when ``status`` is "optimal",
+    otherwise the iterate with the smallest KKT violation ``kkt_error``.
+    ``iterations`` counts the iterations run: interior-point iterates
+    examined, or 1 for a saddle-point solve (0 when its equality rows are
+    inconsistent).  For a certified answer it is also the index of the
+    returned iterate.
+    """
+
     d: np.ndarray
     eta: Multipliers
     kkt_error: float
@@ -153,6 +171,33 @@ def build_subproblem(prob: Problem, x: ManifoldPoint, basis: TangentBasis, h_plu
     return QpModel(H=h_plus, c=c, A_ineq=rows(prob.inequalities), b_ineq=-g, A_eq=rows(prob.equalities), b_eq=-h)
 
 
+def _extended(model: QpModel) -> tuple[np.ndarray, ...]:
+    """The model blocks (H, c, A_ineq, b_ineq, A_eq, b_eq) in extended precision."""
+    ld = np.longdouble
+    return tuple(a.astype(ld) for a in (model.H, model.c, model.A_ineq, model.b_ineq, model.A_eq, model.b_eq))
+
+
+def _kkt_error(ext: tuple[np.ndarray, ...], d: np.ndarray, mu: np.ndarray, lam: np.ndarray) -> float:
+    """``kkt_violation`` on blocks already cast by ``_extended``."""
+    ld = np.longdouble
+    H, c, ai, bi, ae, be = ext
+    dl = d.astype(ld)
+    stat = H @ dl + c
+    if mu.size:
+        stat = stat + ai.T @ mu.astype(ld)
+    if lam.size:
+        stat = stat + ae.T @ lam.astype(ld)
+    out = float(np.abs(stat).max()) if stat.size else 0.0
+    if lam.size:
+        out = max(out, float(np.abs(ae @ dl - be).max()))
+    if mu.size:
+        slack = ai @ dl - bi
+        out = max(out, float(max(0.0, slack.max())))
+        out = max(out, float(max(0.0, -mu.min())))
+        out = max(out, float(np.abs(mu.astype(ld) * slack).max()))
+    return out
+
+
 def kkt_violation(model: QpModel, d: np.ndarray, mu: np.ndarray, lam: np.ndarray) -> float:
     """Max-norm violation of the subproblem KKT conditions at (d, mu, lam).
 
@@ -160,22 +205,7 @@ def kkt_violation(model: QpModel, d: np.ndarray, mu: np.ndarray, lam: np.ndarray
     can be ~1e8 in norm, where float64 matrix-vector rounding alone would
     swamp a 1e-10 certificate.
     """
-    ld = np.longdouble
-    dl = d.astype(ld)
-    stat = model.H.astype(ld) @ dl + model.c.astype(ld)
-    if mu.size:
-        stat = stat + model.A_ineq.T.astype(ld) @ mu.astype(ld)
-    if lam.size:
-        stat = stat + model.A_eq.T.astype(ld) @ lam.astype(ld)
-    out = float(np.max(np.abs(stat))) if stat.size else 0.0
-    if lam.size:
-        out = max(out, float(np.max(np.abs(model.A_eq.astype(ld) @ dl - model.b_eq.astype(ld)))))
-    if mu.size:
-        slack = model.A_ineq.astype(ld) @ dl - model.b_ineq.astype(ld)
-        out = max(out, float(max(0.0, np.max(slack))))
-        out = max(out, float(max(0.0, -np.min(mu))))
-        out = max(out, float(np.max(np.abs(mu.astype(ld) * slack))))
-    return out
+    return _kkt_error(_extended(model), d, mu, lam)
 
 
 def _phase1_min_violation(model: QpModel) -> float:
@@ -302,9 +332,9 @@ def _solve_equality_qp(model: QpModel, tol: float) -> QpSolution:
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0.0
-    if not np.any(neg):
+    if not neg.any():
         return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+    return float((-v[neg] / dv[neg]).min())
 
 
 def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
@@ -312,6 +342,11 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
     ai, bi = model.A_ineq, model.b_ineq
     ae, be = model.A_eq, model.b_eq
     d, m, n = model.dims
+    ext = _extended(model)
+    # the l1 violation of any d is at most (m + n) times its max-norm KKT
+    # error, so above this phase-1 value no iterate can be certified
+    hopeless = max(INFEASIBILITY_TOL, (m + n) * tol)
+    phase1 = None
 
     if n:
         x, *_ = np.linalg.lstsq(ae, be, rcond=None)
@@ -322,94 +357,90 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
     z = np.ones(m)
 
     best = None
-    for it in range(1, _IPM_MAX_ITER + 1):
-        err = kkt_violation(model, x, z, y)
-        if best is None or err < best[0]:
-            best = (err, x.copy(), z.copy(), y.copy(), it)
-        if err <= tol:
-            mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
-            return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=it)
+    # slacks collapse when the constraints are inconsistent, and the
+    # divisions by them overflow; every such case ends the central path at
+    # the best iterate so far through a finiteness check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(1, _IPM_MAX_ITER + 1):
+            err = _kkt_error(ext, x, z, y)
+            if best is None or err < best[0]:
+                best = (err, x, z, y)
+            if err <= tol:
+                mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
+                return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=it)
+            if it == _IPM_PHASE1_ITER:
+                phase1 = _phase1_min_violation(model)
+                if phase1 > hopeless:
+                    break
 
-        rd = H @ x + c + ai.T @ z + (ae.T @ y if n else 0.0)
-        re = ae @ x - be if n else np.zeros(0)
-        ri = ai @ x + s - bi
-        gap = float(z @ s) / m
+            rd = H @ x + c + ai.T @ z + (ae.T @ y if n else 0.0)
+            re = ae @ x - be if n else np.zeros(0)
+            ri = ai @ x + s - bi
+            gap = float(z @ s) / m
 
-        # slacks collapse when the constraints are inconsistent; stop the
-        # central path there and let the phase-1 check classify the model
-        with np.errstate(over="ignore", divide="ignore"):
             dd = z / s
-        if not np.all(np.isfinite(dd)):
-            break
-        mm = H + (ai.T * dd) @ ai
-        kkt = np.zeros((d + n, d + n))
-        kkt[:d, :d] = mm
-        if n:
-            kkt[:d, d:] = ae.T
-            kkt[d:, :d] = ae
-        try:
-            # a singular system only warns here; the finiteness checks in
-            # newton() catch the resulting inf/nan and end the path cleanly
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(kkt)
-        except (scipy.linalg.LinAlgError, ValueError):
-            break
-
-        def newton(rc):
-            # near-collapsed slacks overflow these divisions; a None return
-            # ends the central path at the best iterate so far
-            rhs = np.empty(d + n)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                rhs[:d] = -(rd + ai.T @ (rc / s + dd * ri))
+            if not np.isfinite(dd).all():
+                break
+            kkt = np.zeros((d + n, d + n), order="F")
+            kkt[:d, :d] = H + (ai.T * dd) @ ai
             if n:
-                rhs[d:] = -re
-            if not np.all(np.isfinite(rhs)):
-                return None
-            sol = scipy.linalg.lu_solve(lu, rhs)
-            if not np.all(np.isfinite(sol)):
-                return None
-            dx = sol[:d]
-            dy = sol[d:]
-            ds = -ri - ai @ dx
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                kkt[:d, d:] = ae.T
+                kkt[d:, :d] = ae
+            if not np.isfinite(kkt).all():
+                break
+            lu, piv, info = dgetrf(kkt, overwrite_a=True)
+            if info:  # singular: the solves below could only give inf/nan
+                break
+
+            def newton(rc):
+                rhs = np.empty(d + n)
+                rhs[:d] = -(rd + ai.T @ (rc / s + dd * ri))
+                if n:
+                    rhs[d:] = -re
+                if not np.isfinite(rhs).all():
+                    return None
+                sol, _ = dgetrs(lu, piv, rhs, overwrite_b=True)
+                if not np.isfinite(sol).all():
+                    return None
+                dx = sol[:d]
+                dy = sol[d:]
+                ds = -ri - ai @ dx
                 dz = (rc - z * ds) / s
-            if not (np.all(np.isfinite(ds)) and np.all(np.isfinite(dz))):
-                return None
-            return dx, dy, ds, dz
+                if not (np.isfinite(ds).all() and np.isfinite(dz).all()):
+                    return None
+                return dx, dy, ds, dz
 
-        # predictor
-        pred = newton(-z * s)
-        if pred is None:
-            break
-        dxa, dya, dsa, dza = pred
-        ap = min(1.0, _max_step(s, dsa))
-        ad = min(1.0, _max_step(z, dza))
-        gap_aff = float((z + ad * dza) @ (s + ap * dsa)) / m
-        sigma = (max(gap_aff, 0.0) / gap) ** 3 if gap > 0.0 else 0.0
+            # predictor
+            pred = newton(-z * s)
+            if pred is None:
+                break
+            dxa, dya, dsa, dza = pred
+            ap = min(1.0, _max_step(s, dsa))
+            ad = min(1.0, _max_step(z, dza))
+            gap_aff = float((z + ad * dza) @ (s + ap * dsa)) / m
+            sigma = (max(gap_aff, 0.0) / gap) ** 3 if gap > 0.0 else 0.0
 
-        # corrector
-        rc = sigma * gap - z * s - dza * dsa
-        corr = newton(rc)
-        if corr is None:
-            break
-        dx, dy, ds, dz = corr
-        ap = min(1.0, 0.99 * _max_step(s, ds))
-        ad = min(1.0, 0.99 * _max_step(z, dz))
-        x = x + ap * dx
-        s = s + ap * ds
-        y = y + ad * dy
-        z = z + ad * dz
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s)) and np.all(np.isfinite(z))):
-            break
-        if gap < 1e-18:
-            break
+            # corrector
+            rc = sigma * gap - z * s - dza * dsa
+            corr = newton(rc)
+            if corr is None:
+                break
+            dx, dy, ds, dz = corr
+            ap = min(1.0, 0.99 * _max_step(s, ds))
+            ad = min(1.0, 0.99 * _max_step(z, dz))
+            x = x + ap * dx
+            s = s + ap * ds
+            y = y + ad * dy
+            z = z + ad * dz
+            if not (np.isfinite(x).all() and np.isfinite(s).all() and np.isfinite(z).all()):
+                break
+            if gap < 1e-18:
+                break
 
-    err, x, z, y, it = best
-    if _phase1_min_violation(model) > INFEASIBILITY_TOL:
-        status = "infeasible"
-    else:
-        status = "max_iter"
+    err, x, z, y = best
+    if phase1 is None:
+        phase1 = _phase1_min_violation(model)
+    status = "infeasible" if phase1 > INFEASIBILITY_TOL else "max_iter"
     mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
     return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status=status, iterations=it)
 
@@ -420,7 +451,8 @@ def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
     ``status`` is "optimal" only when the KKT violation of the returned
     point is <= tol.  A run that cannot be certified is classified by the
     phase-1 check: "infeasible" when even the most forgiving point violates
-    the linearized constraints by more than 1e-8, "max_iter" otherwise.
+    the linearized constraints by more than 1e-8 in total, "max_iter"
+    otherwise.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")

@@ -95,18 +95,14 @@ class SolverConfig:
             raise ValueError("beta must lie in (0, 1)")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
-        if self.rho_init <= 0.0:
-            raise ValueError("rho_init must be positive")
         if self.b_strategy not in B_STRATEGIES:
             raise ValueError(f"b_strategy must be one of {B_STRATEGIES}")
-        if self.qp_tol <= 0.0:
-            raise ValueError("qp_tol must be positive")
+        # written so that NaN, which fails every comparison, is rejected
+        for name in ("epsilon", "delta", "rho_init", "qp_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         for name in ("residual_tol", "max_iter", "max_time", "max_backtracks", "seed"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import manisqp as m
+from manisqp.instances import instance_size
 
 
 def truth_point(inst):
@@ -195,6 +196,18 @@ def test_gen_instance_dispatches_by_family():
         m.gen_instance("balanced_cut", 30, 2, p=2)
     with pytest.raises(ValueError):
         m.gen_instance("knapsack", 4, 8, p=2)
+    # sizes are counts: a float or a bool is refused before any array is built
+    bad_sizes = (
+        (("balanced_cut", 5.5, 2), dict(density=0.5), "q must be an integer"),
+        (("balanced_cut", 5, True), dict(density=0.5), "s must be an integer"),
+        (("completion", 4, 8), dict(p=2.5), "p must be an integer"),
+    )
+    for args, kwargs, message in bad_sizes:
+        with pytest.raises(ValueError, match=message):
+            instance_size(*args, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            m.gen_instance(*args, **kwargs)
+    assert instance_size("completion", np.int64(4), 8, p=np.int64(2)) == 2
 
 
 def test_problem_and_start_per_family():

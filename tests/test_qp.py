@@ -9,11 +9,13 @@ certificate sits orders of magnitude above what is attainable.
 """
 
 import io
+import warnings
 
 import numpy as np
 import pytest
 
 import manisqp as m
+from manisqp import qp
 
 from qp_oracle import oracle_qp, random_qp
 
@@ -268,3 +270,116 @@ def test_qp_model_validation_and_dump_roundtrip():
     idx = lines.index("H 2 2")
     row0 = np.array([float(v) for v in lines[idx + 1].split()])
     assert np.array_equal(row0, model.H[0])
+
+
+def _dense_rows_qp(rng, d=4, n_ineq=8, n_eq=2):
+    # random rows and right-hand sides: mostly infeasible, and the central
+    # path runs well past the phase-1 check point before it would collapse
+    a = rng.normal(size=(d, d))
+    return m.QpModel(
+        a @ a.T + np.eye(d),
+        rng.normal(size=d),
+        rng.normal(size=(n_ineq, d)),
+        rng.normal(size=n_ineq),
+        rng.normal(size=(n_eq, d)),
+        rng.normal(size=n_eq),
+    )
+
+
+def _inconsistent_rows_qp(rng):
+    # a feasible random model plus the pair a.d <= t, a.d >= t + gap
+    h, c, ai, bi, ae, be = random_qp(rng)
+    a = rng.normal(size=c.size)
+    t = rng.normal()
+    gap = rng.uniform(0.1, 2.0)
+    return m.QpModel(h, c, np.vstack([ai, a, -a]), np.concatenate([bi, [t, -t - gap]]), ae, be)
+
+
+def _seeded_models():
+    rng = np.random.default_rng(12)
+    models = [m.QpModel(*random_qp(rng)) for _ in range(40)]
+    models += [_dense_rows_qp(rng) for _ in range(40)]
+    models += [_inconsistent_rows_qp(rng) for _ in range(40)]
+    return models
+
+
+def test_early_infeasibility_decision_keeps_every_verdict(monkeypatch):
+    models = _seeded_models()
+    early = [m.solve_qp(model, 1e-10) for model in models]
+    check = qp._IPM_PHASE1_ITER
+    monkeypatch.setattr(qp, "_IPM_PHASE1_ITER", qp._IPM_MAX_ITER + 1)
+    late = [m.solve_qp(model, 1e-10) for model in models]
+
+    statuses = [sol.status for sol in late]
+    assert statuses.count("optimal") >= 40 and statuses.count("infeasible") >= 40
+    # the early decision had work to cut short
+    assert sum(sol.iterations > check for sol in late if sol.status == "infeasible") >= 10
+    for i, (a, b) in enumerate(zip(early, late)):
+        assert a.status == b.status, i
+        if b.status == "optimal":
+            assert np.array_equal(a.d, b.d), i
+            assert np.array_equal(a.eta.mu, b.eta.mu), i
+            assert np.array_equal(a.eta.lam, b.eta.lam), i
+            assert a.kkt_error == b.kkt_error and a.iterations == b.iterations, i
+        else:
+            assert a.iterations <= b.iterations, i
+
+
+def test_infeasible_model_is_decided_at_the_check_point(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    linprog = qp.linprog
+    monkeypatch.setattr(qp, "linprog", counted)
+    rng = np.random.default_rng(3)
+    decided = 0
+    for _ in range(20):
+        model = _dense_rows_qp(rng)
+        calls.clear()
+        sol = m.solve_qp(model, 1e-10)
+        assert len(calls) == (sol.status != "optimal")  # phase 1 runs at most once
+        if sol.status == "infeasible" and sol.iterations == qp._IPM_PHASE1_ITER:
+            decided += 1
+            assert not sol.kkt_error <= 1e-10
+            assert sol.d.shape == (4,) and sol.eta.mu.shape == (8,) and sol.eta.lam.shape == (2,)
+    assert decided >= 10
+
+
+def test_solve_qp_restores_the_floating_point_error_state(monkeypatch):
+    model = _dense_rows_qp(np.random.default_rng(3))
+    with np.errstate(over="warn", divide="raise", invalid="print", under="ignore"):
+        before = np.geterr()
+        m.solve_qp(model, 1e-10)
+        assert np.geterr() == before
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("factorization failed")
+
+        monkeypatch.setattr(qp, "dgetrf", broken)
+        with pytest.raises(RuntimeError, match="factorization failed"):
+            m.solve_qp(model, 1e-10)
+        assert np.geterr() == before
+
+
+def test_degenerate_models_emit_no_runtime_warning():
+    none2 = (np.zeros((0, 2)), np.zeros(0))
+    models = [
+        # rows near the float64 range: the first residuals overflow
+        m.QpModel(np.eye(2), np.zeros(2), np.array([[1e200, 0.0], [-1e200, 0.0]]), np.array([-1e200, -1e200]), *none2),
+        # a zero row with a negative right-hand side
+        m.QpModel(np.eye(2), np.zeros(2), np.zeros((1, 2)), np.array([-1.0]), *none2),
+        # d <= -1 and d >= 2
+        m.QpModel(np.eye(1), np.zeros(1), np.array([[1.0], [-1.0]]), np.array([-1.0, -2.0]), np.zeros((0, 1)), np.zeros(0)),
+        # singular and nearly zero Hessians
+        m.QpModel(np.zeros((2, 2)), np.ones(2), np.array([[1.0, 0.0]]), np.array([1.0]), *none2),
+        m.QpModel(1e-300 * np.eye(2), np.ones(2), np.array([[1.0, 0.0]]), np.array([1.0]), *none2),
+        # inconsistent equalities next to an inequality
+        m.QpModel(np.eye(2), np.zeros(2), np.array([[1.0, 0.0]]), np.array([1.0]), np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([0.0, 1.0])),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for model in models:
+            assert m.solve_qp(model, 1e-10).status in ("optimal", "infeasible", "max_iter")

@@ -115,6 +115,10 @@ def test_runspec_roundtrip_and_validation():
         dict(problem="balanced_cut", q=0, s=2, density=0.5),
         dict(problem="balanced_cut", q=5, s=2, density=1.5),
         dict(problem="completion", q=4, s=8, p=9),
+        dict(problem="balanced_cut", q=5.5, s=2, density=0.5),
+        dict(problem="balanced_cut", q=5, s=True, density=0.5),
+        dict(problem="completion", q=4, s=8.0, p=2),
+        dict(problem="completion", q=4, s=8, p=2.5),
     )
     for kwargs in bad_shapes:
         with pytest.raises(ValueError):
@@ -262,10 +266,16 @@ def test_cli_invalid_solver_values_exit_2(tmp_path, capsys):
         main(base + ["--max-iter", "-3"])
     assert exc.value.code == 2
     assert "max_iter must be nonnegative" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--residual-tol", "nan"])
+    assert exc.value.code == 2
+    assert "residual_tol must be nonnegative" in capsys.readouterr().err
     comp = {"problem": "completion", "q": 4, "s": 8, "p": 2}
     bad_specs = (
         ({**comp, "solver": {"delta": 0.0}}, "delta must be positive"),
         ({"problem": "balanced_cut", "q": 0, "s": 2, "density": 0.5}, "need q >= 1"),
+        ({"problem": "balanced_cut", "q": 5.5, "s": 2, "density": 0.5}, "q must be an integer"),
+        ({**comp, "p": 2.5}, "p must be an integer"),
         ({**comp, "bogus": 1}, "bogus"),
         ({**comp, "solver": {"foo": 1}}, "foo"),
     )

@@ -52,8 +52,18 @@ def test_solver_config_validation():
     for name in ("max_iter", "max_backtracks", "max_time", "residual_tol"):
         with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
             m.SolverConfig(**{name: -1})
+    # NaN fails every comparison; it is rejected, not taken as "no limit"
+    nan = float("nan")
+    for name, rule in (("residual_tol", "nonnegative"), ("max_time", "nonnegative"), ("delta", "positive"),
+                       ("qp_tol", "positive"), ("epsilon", "positive"), ("rho_init", "positive")):
+        with pytest.raises(ValueError, match=f"{name} must be {rule}"):
+            m.SolverConfig(**{name: nan})
+    for name in ("beta", "gamma"):
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            m.SolverConfig(**{name: nan})
     # zero stays valid: the feasibility phase runs with residual_tol=0.0
     m.SolverConfig(residual_tol=0.0, max_iter=0, max_backtracks=0, max_time=0.0)
+    m.SolverConfig(max_time=float("inf"))
 
 
 def test_update_penalty_examples():
