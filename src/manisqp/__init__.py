@@ -17,6 +17,7 @@ from .manifolds import (
     retract,
 )
 from .problem import (
+    ConstraintBlock,
     KktReport,
     Multipliers,
     Problem,

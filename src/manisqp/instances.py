@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifolds import FixedRank, ManifoldPoint, Oblique, RankDropError, _readonly
-from .problem import Multipliers, Problem, SmoothFunction, constraint_values
+from .problem import ConstraintBlock, Multipliers, Problem, SmoothFunction, constraint_values
 from .solver import IterateState, QpInfeasibleError, SolverConfig, StallError, step
 
 __all__ = [
@@ -107,15 +107,24 @@ def gen_completion(q: int, s: int, p: int, seed: int) -> CompletionInstance:
     return CompletionInstance(q=q, s=s, p=p, seed=seed, a=_readonly(a), observed=observed, pinned=pinned)
 
 
-def _entry_constraint(i: int, j: int, shape: tuple[int, int], sign: float, offset: float) -> SmoothFunction:
-    """Affine scalar sign * X_ij + offset as a SmoothFunction."""
-    grad = np.zeros(shape)
-    grad[i, j] = sign
-    grad = _readonly(grad)
-    return SmoothFunction(
-        value=lambda x, i=i, j=j, sign=sign, offset=offset: sign * x[i, j] + offset,
-        gradient=lambda x, g=grad: g,
-        hess_vec=lambda x, v: np.zeros(v.shape),
+def _entry_block(shape: tuple[int, int], entries, sign: float, offset) -> ConstraintBlock:
+    """The affine constraints sign * X_ij + offset on a list of entries.
+
+    Entries are flat indices: values and basis rows are gathers, the
+    weighted gradient is a scatter.
+    """
+    flat = np.array([i * shape[1] + j for i, j in entries], dtype=np.intp)
+
+    def weighted_gradient(x, w):
+        out = np.zeros(x.size)
+        out[flat] = sign * w
+        return out.reshape(x.shape)
+
+    return ConstraintBlock(
+        size=flat.size,
+        values=lambda x: sign * x.reshape(-1)[flat] + offset,
+        rows=lambda x, bm: np.ascontiguousarray(sign * bm.T[flat]),
+        weighted_gradient=weighted_gradient,
     )
 
 
@@ -130,18 +139,14 @@ def completion_problem(inst: CompletionInstance) -> Problem:
         value=lambda x: 0.5 * float(np.sum(mask * (x - a) ** 2)),
         gradient=lambda x: mask * (x - a),
         hess_vec=lambda x, v: mask * v,
+        hess_stack=lambda x, vs: mask * vs,
     )
-    ineqs = tuple(
-        _entry_constraint(i, j, (inst.q, inst.s), -1.0, 0.0) for i, j in inst.unknown
-    )
-    eqs = tuple(
-        _entry_constraint(i, j, (inst.q, inst.s), 1.0, -float(a[i, j])) for i, j in inst.pinned
-    )
+    shape, pinned = (inst.q, inst.s), inst.pinned
     return Problem(
         manifold=inst.manifold,
         objective=objective,
-        inequalities=ineqs,
-        equalities=eqs,
+        inequalities=_entry_block(shape, inst.unknown, -1.0, 0.0),
+        equalities=_entry_block(shape, pinned, 1.0, np.array([-float(a[i, j]) for i, j in pinned])),
         name=f"completion-q{inst.q}-s{inst.s}-p{inst.p}-seed{inst.seed}",
     )
 
@@ -179,23 +184,29 @@ def cut_problem(inst: CutInstance) -> Problem:
         value=lambda x: -0.25 * float(np.sum(x * (lap @ x))),
         gradient=lambda x: -0.5 * (lap @ x),
         hess_vec=lambda x, v: -0.5 * (lap @ v),
+        hess_stack=lambda x, vs: -0.5 * (lap @ vs),
     )
 
-    def column_sum(j: int) -> SmoothFunction:
-        grad = np.zeros((q, s))
-        grad[:, j] = 1.0
-        grad = _readonly(grad)
-        return SmoothFunction(
-            value=lambda x, j=j: float(np.sum(x[:, j])),
-            gradient=lambda x, g=grad: g,
-            hess_vec=lambda x, v: np.zeros(v.shape),
-        )
+    def rows(x, bm):
+        # the dense gradients are built per call, not stored with the
+        # problem: a product with them gives the scalar constraints' rows
+        # bit for bit, while summing the columns of bm rounds differently
+        jac = np.zeros((s, q, s))
+        jac[np.arange(s), :, np.arange(s)] = 1.0
+        return jac.reshape(s, q * s) @ bm.T
 
-    eqs = tuple(column_sum(j) for j in range(s))
+    column_sums = ConstraintBlock(
+        size=s,
+        # a contiguous row sum adds in the same order as a sum over one
+        # strided column; x.sum(axis=0) rounds differently
+        values=lambda x: np.ascontiguousarray(x.T).sum(axis=1),
+        rows=rows,
+        weighted_gradient=lambda x, w: np.zeros(x.shape) + w,
+    )
     return Problem(
         manifold=inst.manifold,
         objective=objective,
-        equalities=eqs,
+        equalities=column_sums,
         name=f"balanced-cut-q{q}-s{s}-d{inst.density}-seed{inst.seed}",
     )
 
@@ -253,14 +264,17 @@ def instance_from_dict(d: dict):
     raise ValueError(f"unknown problem kind: {kind!r}")
 
 
+_ZERO = SmoothFunction(
+    value=lambda x: 0.0,
+    gradient=lambda x: np.zeros(x.shape),
+    hess_vec=lambda x, v: np.zeros(v.shape),
+    hess_stack=lambda x, vs: np.zeros(vs.shape),
+)
+
+
 def _max_violation(prob: Problem, x: ManifoldPoint) -> float:
     g, h = constraint_values(prob, x)
-    out = 0.0
-    if g.size:
-        out = max(out, float(np.max(np.maximum(g, 0.0))))
-    if h.size:
-        out = max(out, float(np.max(np.abs(h))))
-    return out
+    return max(0.0, float(np.max(g, initial=0.0)), float(np.max(np.abs(h), initial=0.0)))
 
 
 def feasible_start(
@@ -280,19 +294,8 @@ def feasible_start(
     RuntimeError when the budget runs out before reaching tol.
     """
     man = inst.manifold
-    zero = SmoothFunction(
-        value=lambda x: 0.0,
-        gradient=lambda x: np.zeros(x.shape),
-        hess_vec=lambda x, v: np.zeros(v.shape),
-    )
     prob = completion_problem(inst)
-    feas = Problem(
-        manifold=man,
-        objective=zero,
-        inequalities=prob.inequalities,
-        equalities=prob.equalities,
-        name=prob.name + "-feasibility",
-    )
+    feas = Problem(manifold=man, objective=_ZERO, inequalities=prob.ineq, equalities=prob.eq)
     if x0 is not None and _max_violation(feas, x0) <= tol:
         return x0
 

@@ -1,11 +1,11 @@
 """Constrained problems on manifolds and their first/second order data.
 
-A problem bundles an objective and two families of scalar constraints,
+A problem bundles an objective and two blocks of scalar constraints,
 
     min  f(x)   s.t.  g_i(x) <= 0  (i = 1..m),   h_j(x) = 0  (j = 1..n),
 
 with x on an embedded manifold.  Every function is supplied through ambient
-callbacks (value, gradient, Hessian-vector product on the embedding space);
+callbacks, for a constraint block on all of its constraints at once;
 Riemannian quantities are obtained by projection plus the manifold's
 curvature correction, so no callback ever needs to know about the manifold.
 """
@@ -22,6 +22,7 @@ from .manifolds import Manifold, ManifoldPoint, TangentBasis, TangentVector, pro
 
 __all__ = [
     "SmoothFunction",
+    "ConstraintBlock",
     "Multipliers",
     "Problem",
     "KktReport",
@@ -39,12 +40,75 @@ class SmoothFunction:
 
     ``value(x)`` maps an ambient array to a float, ``gradient(x)`` returns
     the ambient gradient, and ``hess_vec(x, v)`` the ambient Hessian applied
-    to an ambient direction v.
+    to an ambient direction v.  ``hess_stack(x, vs)``, when given, applies
+    the Hessian to every array of a stack vs (one leading batch axis) and
+    must agree with ``hess_vec``; it replaces the per-direction calls.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hess_vec: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    hess_stack: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class ConstraintBlock:
+    """k scalar constraints c_1..c_k given together by ambient callbacks.
+
+    ``values(x)`` returns the (k,) values, ``rows(x, bm)`` the (k, d)
+    contractions of the ambient gradients with the d basis vectors raveled
+    in the rows of bm, and ``weighted_gradient(x, w)`` sum_k w_k grad c_k(x).
+    ``weighted_hessian(x, w, vs)`` applies sum_k w_k Hess c_k(x) to every
+    array of the stack vs; it is None for an affine block.
+    """
+
+    size: int
+    values: Callable[[np.ndarray], np.ndarray]
+    rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    weighted_gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    weighted_hessian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    @staticmethod
+    def of(fns) -> "ConstraintBlock":
+        """One block of a sequence of SmoothFunctions, keeping their Hessians."""
+        fns = tuple(fns)
+
+        def weighted(w, term, out):
+            for coef, fn in zip(w, fns):
+                if coef != 0.0:
+                    out = out + coef * term(fn)
+            return out
+
+        def rows(x, bm):
+            return np.array([fn.gradient(x).ravel() for fn in fns]).reshape(len(fns), bm.shape[1]) @ bm.T
+
+        def weighted_hessian(x, w, vs):
+            out = [weighted(w, lambda fn: fn.hess_vec(x, v), np.zeros(v.shape)) for v in vs]
+            return np.array(out).reshape(vs.shape)
+
+        return ConstraintBlock(
+            size=len(fns),
+            values=lambda x: np.array([fn.value(x) for fn in fns], dtype=float),
+            rows=rows,
+            weighted_gradient=lambda x, w: weighted(w, lambda fn: fn.gradient(x), np.zeros(x.shape)),
+            weighted_hessian=weighted_hessian,
+        )
+
+    def scalar(self, k: int) -> SmoothFunction:
+        """Constraint k as a SmoothFunction, derived from the block."""
+        unit = np.zeros(self.size)
+        unit[k] = 1.0
+
+        def hess_vec(x, v):
+            if self.weighted_hessian is None:
+                return np.zeros(np.shape(v))
+            return self.weighted_hessian(x, unit, np.asarray(v)[None])[0]
+
+        return SmoothFunction(
+            value=lambda x: float(self.values(x)[k]),
+            gradient=lambda x: self.weighted_gradient(x, unit),
+            hess_vec=hess_vec,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,33 +123,60 @@ class Multipliers:
         return Multipliers(np.zeros(m), np.zeros(n))
 
 
-@dataclass(frozen=True, eq=False)
+# Shared by every problem that leaves a constraint family out.
+NO_CONSTRAINTS = ConstraintBlock.of(())
+
+
 class Problem:
-    manifold: Manifold
-    objective: SmoothFunction
-    inequalities: tuple[SmoothFunction, ...] = ()
-    equalities: tuple[SmoothFunction, ...] = ()
-    name: str = ""
+    """An objective and constraint blocks ``ineq`` and ``eq`` on a manifold.
+
+    A sequence of SmoothFunctions given for ``inequalities`` or
+    ``equalities`` is wrapped into one block; the properties of those names
+    derive scalar SmoothFunction views of the blocks.
+    """
+
+    __slots__ = ("manifold", "objective", "ineq", "eq", "name")
+
+    def __init__(
+        self,
+        manifold: Manifold,
+        objective: SmoothFunction,
+        inequalities=NO_CONSTRAINTS,
+        equalities=NO_CONSTRAINTS,
+        name: str = "",
+    ):
+        self.manifold = manifold
+        self.objective = objective
+        self.ineq = inequalities if isinstance(inequalities, ConstraintBlock) else ConstraintBlock.of(inequalities)
+        self.eq = equalities if isinstance(equalities, ConstraintBlock) else ConstraintBlock.of(equalities)
+        self.name = name
 
     @property
     def m(self) -> int:
-        return len(self.inequalities)
+        return self.ineq.size
 
     @property
     def n(self) -> int:
-        return len(self.equalities)
+        return self.eq.size
+
+    @property
+    def inequalities(self) -> tuple[SmoothFunction, ...]:
+        return tuple(self.ineq.scalar(k) for k in range(self.m))
+
+    @property
+    def equalities(self) -> tuple[SmoothFunction, ...]:
+        return tuple(self.eq.scalar(k) for k in range(self.n))
 
 
 GradientSelector = Union[str, tuple, Multipliers]
 
 
-def _ambient_lagrangian(prob: Problem, eta: Multipliers, term: Callable[[SmoothFunction], np.ndarray]) -> np.ndarray:
-    """term(f) + sum mu_i term(g_i) + sum lam_j term(h_j), skipping zero multipliers."""
-    out = np.array(term(prob.objective), dtype=float)
-    for coefs, fns in ((eta.mu, prob.inequalities), (eta.lam, prob.equalities)):
-        for coef, fn in zip(coefs, fns):
-            if coef != 0.0:
-                out = out + coef * term(fn)
+def _lagrangian_gradient(prob: Problem, xa: np.ndarray, eta: Multipliers) -> np.ndarray:
+    """Ambient gradient of f + mu^T g + lam^T h; a block with zero weights is skipped."""
+    out = np.array(prob.objective.gradient(xa), dtype=float)
+    for block, w in ((prob.ineq, eta.mu), (prob.eq, eta.lam)):
+        if np.any(w):
+            out += block.weighted_gradient(xa, w)
     return out
 
 
@@ -97,15 +188,14 @@ def riemannian_gradient(prob: Problem, x: ManifoldPoint, which: GradientSelector
     f + sum mu_i g_i + sum lam_j h_j.
     """
     if isinstance(which, Multipliers):
-        return project_tangent(x, _ambient_lagrangian(prob, which, lambda fn: fn.gradient(x.ambient)))
+        return project_tangent(x, _lagrangian_gradient(prob, x.ambient, which))
     if which == "objective":
         return project_tangent(x, prob.objective.gradient(x.ambient))
     kind, idx = which
-    if kind == "ineq":
-        return project_tangent(x, prob.inequalities[idx].gradient(x.ambient))
-    if kind == "eq":
-        return project_tangent(x, prob.equalities[idx].gradient(x.ambient))
-    raise ValueError(f"unknown gradient selector: {which!r}")
+    blocks = {"ineq": prob.ineq, "eq": prob.eq}
+    if kind not in blocks:
+        raise ValueError(f"unknown gradient selector: {which!r}")
+    return project_tangent(x, blocks[kind].scalar(idx).gradient(x.ambient))
 
 
 def lagrangian_hessian_matrix(prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: TangentBasis) -> np.ndarray:
@@ -117,31 +207,35 @@ def lagrangian_hessian_matrix(prob: Problem, x: ManifoldPoint, eta: Multipliers,
     vectors are tangent and P_x is an orthogonal projection, so
     <P_x a, e_j> = <a, e_j>: the projection is skipped and the stacked
     ambient actions are contracted with the basis in one product.  The
-    Hessian-vector callbacks take one direction each; the curvature term
-    takes the whole stack.  The result is symmetrized by averaging.
+    objective's Hessian acts on the whole stack when it has ``hess_stack``
+    and one direction at a time otherwise; affine constraint blocks add
+    nothing.  The result is symmetrized by averaging.
     """
     xa = x.ambient
     d = len(basis)
     stack = basis.matrix.reshape(d, *xa.shape)
-    grad = _ambient_lagrangian(prob, eta, lambda fn: fn.gradient(xa))
-    hess = np.empty(stack.shape)
-    for i, e in enumerate(stack):
-        hess[i] = _ambient_lagrangian(prob, eta, lambda fn: fn.hess_vec(xa, e))
-    hess += prob.manifold.weingarten(x, stack, grad)
+    grad = _lagrangian_gradient(prob, xa, eta)
+    f = prob.objective
+    if f.hess_stack is not None:
+        hess = f.hess_stack(xa, stack)
+    else:
+        hess = np.array([f.hess_vec(xa, e) for e in stack], dtype=float).reshape(stack.shape)
+    for block, w in ((prob.ineq, eta.mu), (prob.eq, eta.lam)):
+        if block.weighted_hessian is not None and np.any(w):
+            hess = hess + block.weighted_hessian(xa, w, stack)
+    hess = hess + prob.manifold.weingarten(x, stack, grad)
     mat = hess.reshape(d, xa.size) @ basis.matrix.T
     return (mat + mat.T) / 2.0
 
 
 def constraint_values(prob: Problem, x: ManifoldPoint) -> tuple[np.ndarray, np.ndarray]:
     xa = x.ambient
-    g = np.array([fn.value(xa) for fn in prob.inequalities], dtype=float)
-    h = np.array([fn.value(xa) for fn in prob.equalities], dtype=float)
-    return g, h
+    return prob.ineq.values(xa), prob.eq.values(xa)
 
 
 def merit(prob: Problem, x: ManifoldPoint, rho: float) -> float:
     """Exact l1 penalty: f + rho * (sum_i max(0, g_i) + sum_j |h_j|)."""
-    if rho < 0.0:
+    if not rho >= 0.0:  # written so that NaN is rejected too
         raise ValueError("penalty parameter must be nonnegative")
     g, h = constraint_values(prob, x)
     viol = float(np.maximum(g, 0.0).sum() + np.abs(h).sum())

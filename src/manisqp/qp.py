@@ -82,27 +82,6 @@ class QpModel:
     def dims(self) -> tuple[int, int, int]:
         return self.c.size, self.b_ineq.size, self.b_eq.size
 
-    def dump(self, stream) -> None:
-        """Write the model in a self-describing text matrix format.
-
-        Each block is ``name rows cols`` followed by ``rows`` lines of
-        ``cols`` space-separated float reprs.
-        """
-        d, m, n = self.dims
-        stream.write(f"# qp model d={d} m={m} n={n}\n")
-        blocks = [
-            ("H", self.H),
-            ("c", self.c.reshape(1, -1)),
-            ("A_ineq", self.A_ineq),
-            ("b_ineq", self.b_ineq.reshape(1, -1)),
-            ("A_eq", self.A_eq),
-            ("b_eq", self.b_eq.reshape(1, -1)),
-        ]
-        for name, arr in blocks:
-            stream.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
-            for row in arr:
-                stream.write(" ".join(repr(float(v)) for v in row) + "\n")
-
 
 @dataclass(frozen=True, eq=False)
 class QpSolution:
@@ -150,7 +129,8 @@ def build_subproblem(prob: Problem, x: ManifoldPoint, basis: TangentBasis, h_plu
 
     The linear term and constraint rows are coordinates of the respective
     Riemannian gradients; since the basis is tangent, they equal the plain
-    contraction of ambient gradients with the basis vectors.  Right-hand
+    contraction of ambient gradients with the basis vectors, which each
+    constraint block forms for all of its rows at once.  Right-hand
     sides are the negated constraint values, so the model constraints read
     g_i + <grad g_i, d> <= 0 and h_j + <grad h_j, d> = 0.
     """
@@ -164,11 +144,7 @@ def build_subproblem(prob: Problem, x: ManifoldPoint, basis: TangentBasis, h_plu
     bm = basis.matrix
     c = bm @ np.asarray(prob.objective.gradient(xa), dtype=float).ravel()
     g, h = constraint_values(prob, x)
-
-    def rows(fns):
-        return np.array([fn.gradient(xa).ravel() for fn in fns]).reshape(len(fns), xa.size) @ bm.T
-
-    return QpModel(H=h_plus, c=c, A_ineq=rows(prob.inequalities), b_ineq=-g, A_eq=rows(prob.equalities), b_eq=-h)
+    return QpModel(H=h_plus, c=c, A_ineq=prob.ineq.rows(xa, bm), b_ineq=-g, A_eq=prob.eq.rows(xa, bm), b_eq=-h)
 
 
 def _extended(model: QpModel) -> tuple[np.ndarray, ...]:

@@ -1,6 +1,7 @@
 """Benchmark instance generators: counts, determinism, structural facts."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,20 @@ def test_completion_counts_4x8():
     prob = m.completion_problem(inst)
     assert prob.m == 16
     assert prob.n == 8
+
+
+def test_completion_problems_are_lean():
+    # the constraints are index arrays, not one closure and one dense
+    # gradient per entry; the instances are built outside the measurement
+    insts = [m.gen_completion(4, 8, 2, seed=s) for s in range(200)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        probs = [m.completion_problem(inst) for inst in insts]
+        per_problem = (tracemalloc.get_traced_memory()[0] - before) / len(probs)
+    finally:
+        tracemalloc.stop()
+    assert per_problem < 8 * 1024, per_problem
 
 
 def test_completion_counts_5x10():

@@ -16,6 +16,7 @@ import manisqp as m
 
 from util import (
     bundled_problems,
+    curved_toy,
     euclidean_toy,
     fd_directional,
     hessian_quadform,
@@ -107,6 +108,78 @@ def test_lagrangian_hessian_matches_the_per_row_formula():
         assert np.max(np.abs(hl - expected)) < 1e-12 * (1.0 + np.linalg.norm(expected)), name
 
 
+def test_lagrangian_hessian_keeps_curved_constraint_hessians():
+    # Hess L = 2 mu I + lam diag(-2, 0) on R^2, written out from the
+    # constraint formulas, not taken from the problem's callbacks
+    prob, _, _, _ = curved_toy()
+    rng = np.random.default_rng(31)
+    for trial in range(3):
+        x = prob.manifold.point(rng.normal(size=2))
+        mu, lam = rng.random() + 0.1, rng.normal() + 0.5
+        eta = m.Multipliers(np.array([mu]), np.array([lam]))
+        basis = m.orthonormal_basis(x, 32 + trial)
+        expected = basis.matrix @ (2.0 * mu * np.eye(2) + lam * np.diag([-2.0, 0.0])) @ basis.matrix.T
+        hl = m.lagrangian_hessian_matrix(prob, x, eta, basis)
+        assert np.max(np.abs(hl - expected)) < 1e-14
+        v = rng.normal(size=2)
+        assert np.array_equal(prob.inequalities[0].hess_vec(x.ambient, v), 2.0 * v)
+        assert np.array_equal(prob.equalities[0].hess_vec(x.ambient, v), np.array([-2.0 * v[0], 0.0]))
+
+
+def _scalar_constraints(name):
+    """A bundled family's problem and its constraints written one by one.
+
+    Returns (problem, [(value, ambient gradient) callables per inequality],
+    [... per equality]) with the scalar formulas of each family.
+    """
+    if name == "completion":
+        inst = m.gen_completion(4, 8, 2, seed=2)
+
+        def entry(i, j, sign, offset):
+            grad = np.zeros((inst.q, inst.s))
+            grad[i, j] = sign
+            return (lambda x: sign * x[i, j] + offset), (lambda x: grad)
+
+        ineqs = [entry(i, j, -1.0, 0.0) for i, j in inst.unknown]
+        eqs = [entry(i, j, 1.0, -float(inst.a[i, j])) for i, j in inst.pinned]
+        return m.completion_problem(inst), ineqs, eqs
+    inst = m.gen_balanced_cut(50, 2, 0.01, seed=4)
+
+    def column(j):
+        grad = np.zeros((inst.q, inst.s))
+        grad[:, j] = 1.0
+        return (lambda x: float(np.sum(x[:, j]))), (lambda x: grad)
+
+    return m.cut_problem(inst), [], [column(j) for j in range(inst.s)]
+
+
+@pytest.mark.parametrize("name", ["completion", "balanced_cut"])
+def test_constraint_blocks_match_the_scalar_formulas(name):
+    prob, ineqs, eqs = _scalar_constraints(name)
+    assert (prob.m, prob.n) == (len(ineqs), len(eqs))
+    for seed in range(3):
+        x = m.random_point(prob.manifold, 40 + seed)
+        xa = x.ambient
+        basis = m.orthonormal_basis(x, 50 + seed)
+        model = m.build_subproblem(prob, x, basis, np.eye(len(basis)))
+        g, h = m.constraint_values(prob, x)
+        for kind, scalars, values, rows, views in (
+            ("ineq", ineqs, g, model.A_ineq, prob.inequalities),
+            ("eq", eqs, h, model.A_eq, prob.equalities),
+        ):
+            if not scalars:
+                assert values.shape == (0,) and rows.shape == (0, len(basis))
+                continue
+            grads = np.array([grad(xa).ravel() for _, grad in scalars])
+            assert np.array_equal(rows, grads @ basis.matrix.T)
+            assert np.array_equal(values, [value(xa) for value, _ in scalars])
+            assert np.array_equal(values, [view.value(xa) for view in views])
+            for k, ((_, grad), view) in enumerate(zip(scalars, views)):
+                assert np.array_equal(view.gradient(xa), grad(xa))
+                riem = m.riemannian_gradient(prob, x, (kind, k))
+                assert np.array_equal(riem.data, m.project_tangent(x, grad(xa)).data)
+
+
 def test_lagrangian_hessian_of_a_zero_dimensional_manifold_is_empty():
     man = m.Oblique(3, 1)
     x = man.point(np.ones((3, 1)))
@@ -148,6 +221,8 @@ def test_merit_hand_values():
     assert merit_equals(prob, x, 0.0, 2.0)
     with pytest.raises(ValueError):
         m.merit(prob, x, -1.0)
+    with pytest.raises(ValueError):
+        m.merit(prob, x, float("nan"))
 
 
 def merit_equals(prob, x, rho, expected):

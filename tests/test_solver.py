@@ -12,7 +12,7 @@ import pytest
 
 import manisqp as m
 
-from util import euclidean_toy, sphere_tilt
+from util import curved_toy, euclidean_toy, sphere_tilt
 
 
 def scaled_toy(factor=5.0):
@@ -171,6 +171,16 @@ def test_euclidean_toy_converges_in_one_iteration():
     assert trace.records[0].rho == 1.0
     assert trace.records[0].alpha == 1.0
     assert trace.records[0].residual <= 1e-10
+
+
+def test_curved_constraints_reach_the_analytic_kkt_point():
+    prob, x_star, mu_star, lam_star = curved_toy()
+    for x0 in ([0.5, 0.5], [2.0, -1.0]):
+        state, trace = m.solve(prob, prob.manifold.point(np.array(x0)), cfg=m.SolverConfig(residual_tol=1e-10))
+        assert trace.verdict == "converged"
+        assert np.max(np.abs(state.x.ambient - x_star)) < 1e-9
+        assert abs(state.eta.mu[0] - mu_star) < 1e-9
+        assert abs(state.eta.lam[0] - lam_star) < 1e-9
 
 
 def test_penalty_ratchets_above_large_multiplier():

@@ -15,6 +15,13 @@ The two analytic problems have hand-derived solutions:
   the identity: the solution is nondegenerate with a healthy second-order
   certificate, which makes this the reference instance for local
   convergence tests.
+* ``curved_toy``: min -x2 - 0.1 x1 subject to |x|^2 - 2 <= 0 and
+  x2 - x1^2 = 0 on R^2.  On the parabola the disk leaves |x1| <= 1 and the
+  objective is -x1^2 - 0.1 x1, minimized at x* = (1, 1), where both
+  constraints are active.  Stationarity (-0.1, -1) + mu (2, 2) +
+  lam (-2, 1) = 0 gives mu* = 0.35 and lam* = 0.3.  Both constraints are
+  curved, so the Lagrangian Hessian 2 mu I + lam diag(-2, 0) depends on
+  the constraint Hessians.
 """
 
 import numpy as np
@@ -54,6 +61,28 @@ def sphere_tilt():
     )
     prob = m.Problem(man, obj, (), (eq,), name="sphere-tilt")
     return prob, np.array([0.0, 0.0, -1.0]), -0.3
+
+
+def curved_toy():
+    """Returns (problem, x_star, mu_star, lam_star)."""
+    man = m.Euclidean(2)
+    obj = m.SmoothFunction(
+        value=lambda x: float(-x[1] - 0.1 * x[0]),
+        gradient=lambda x: np.array([-0.1, -1.0]),
+        hess_vec=lambda x, v: np.zeros(2),
+    )
+    ball = m.SmoothFunction(
+        value=lambda x: float(x @ x - 2.0),
+        gradient=lambda x: 2.0 * x,
+        hess_vec=lambda x, v: 2.0 * v,
+    )
+    parabola = m.SmoothFunction(
+        value=lambda x: float(x[1] - x[0] ** 2),
+        gradient=lambda x: np.array([-2.0 * x[0], 1.0]),
+        hess_vec=lambda x, v: np.array([-2.0 * v[0], 0.0]),
+    )
+    prob = m.Problem(man, obj, (ball,), (parabola,), name="curved-toy")
+    return prob, np.array([1.0, 1.0]), 0.35, 0.3
 
 
 def random_tangent(x, seed, scale=1.0):
