@@ -15,6 +15,7 @@ from .manifolds import (
     project_tangent,
     random_point,
     retract,
+    retract_ray,
 )
 from .problem import (
     ConstraintBlock,
@@ -26,6 +27,7 @@ from .problem import (
     kkt_residual,
     lagrangian_hessian_matrix,
     merit,
+    merit_stack,
     riemannian_gradient,
 )
 from .qp import QpModel, QpSolution, build_subproblem, kkt_violation, modify_hessian, solve_qp

@@ -110,8 +110,8 @@ def gen_completion(q: int, s: int, p: int, seed: int) -> CompletionInstance:
 def _entry_block(shape: tuple[int, int], entries, sign: float, offset) -> ConstraintBlock:
     """The affine constraints sign * X_ij + offset on a list of entries.
 
-    Entries are flat indices: values and basis rows are gathers, the
-    weighted gradient is a scatter.
+    Entries are flat indices: values (at every point of a stack) and basis
+    rows are gathers, the weighted gradient is a scatter.
     """
     flat = np.array([i * shape[1] + j for i, j in entries], dtype=np.intp)
 
@@ -122,7 +122,7 @@ def _entry_block(shape: tuple[int, int], entries, sign: float, offset) -> Constr
 
     return ConstraintBlock(
         size=flat.size,
-        values=lambda x: sign * x.reshape(-1)[flat] + offset,
+        values=lambda xs: sign * xs.reshape(len(xs), -1)[:, flat] + offset,
         rows=lambda x, bm: np.ascontiguousarray(sign * bm.T[flat]),
         weighted_gradient=weighted_gradient,
     )
@@ -140,6 +140,7 @@ def completion_problem(inst: CompletionInstance) -> Problem:
         gradient=lambda x: mask * (x - a),
         hess_vec=lambda x, v: mask * v,
         hess_stack=lambda x, vs: mask * vs,
+        value_stack=lambda xs: 0.5 * (mask * (xs - a) ** 2).reshape(len(xs), -1).sum(axis=1),
     )
     shape, pinned = (inst.q, inst.s), inst.pinned
     return Problem(
@@ -185,6 +186,8 @@ def cut_problem(inst: CutInstance) -> Problem:
         gradient=lambda x: -0.5 * (lap @ x),
         hess_vec=lambda x, v: -0.5 * (lap @ v),
         hess_stack=lambda x, vs: -0.5 * (lap @ vs),
+        # a row sum of each flattened product adds in the order np.sum does
+        value_stack=lambda xs: -0.25 * (xs * (lap @ xs)).reshape(len(xs), -1).sum(axis=1),
     )
 
     def rows(x, bm):
@@ -198,8 +201,8 @@ def cut_problem(inst: CutInstance) -> Problem:
     column_sums = ConstraintBlock(
         size=s,
         # a contiguous row sum adds in the same order as a sum over one
-        # strided column; x.sum(axis=0) rounds differently
-        values=lambda x: np.ascontiguousarray(x.T).sum(axis=1),
+        # strided column; xs.sum(axis=-2) rounds differently
+        values=lambda xs: np.ascontiguousarray(np.swapaxes(xs, -1, -2)).sum(axis=-1),
         rows=rows,
         weighted_gradient=lambda x, w: np.zeros(x.shape) + w,
     )
@@ -269,6 +272,7 @@ _ZERO = SmoothFunction(
     gradient=lambda x: np.zeros(x.shape),
     hess_vec=lambda x, v: np.zeros(v.shape),
     hess_stack=lambda x, vs: np.zeros(vs.shape),
+    value_stack=lambda xs: np.zeros(len(xs)),
 )
 
 

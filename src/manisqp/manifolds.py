@@ -34,6 +34,7 @@ __all__ = [
     "inner",
     "project_tangent",
     "retract",
+    "retract_ray",
     "exp_map",
     "orthonormal_basis",
     "random_point",
@@ -139,7 +140,9 @@ class Manifold:
 
     ``project_array`` and the direction ``z`` of ``weingarten`` may carry
     leading batch axes in front of the ambient shape: a stack of k arrays
-    maps to the stack of the k results.
+    maps to the stack of the k results.  ``retract_stack`` takes a stack
+    with one leading axis and is the only retraction formula; a single
+    retraction is its stack of one.
     """
 
     dim: int
@@ -159,8 +162,24 @@ class Manifold:
     def project_array(self, x: ManifoldPoint, a: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def retract_array(self, x: ManifoldPoint, a: np.ndarray) -> ManifoldPoint:
+    def retract_stack(self, x: ManifoldPoint, a: np.ndarray):
+        """Retractions at x of the tangent arrays stacked in a.
+
+        Returns (ys, kept, point): the stack of retracted ambient arrays, a
+        boolean array marking the candidates that stayed on the manifold,
+        and a function that gives candidate i as a ManifoldPoint, raising
+        RankDropError for a candidate that did not.
+        """
+        ys = self._retract_ambient(x.ambient + a)
+        return ys, np.ones(len(ys), dtype=bool), lambda i: ManifoldPoint(self, _readonly(ys[i]))
+
+    def _retract_ambient(self, z: np.ndarray) -> np.ndarray:
+        """Metric projection of the stacked ambient arrays z onto the manifold."""
         raise NotImplementedError
+
+    def retract_array(self, x: ManifoldPoint, a: np.ndarray) -> ManifoldPoint:
+        _, _, point = self.retract_stack(x, np.asarray(a, dtype=float)[None])
+        return point(0)
 
     def exp_array(self, x: ManifoldPoint, a: np.ndarray) -> ManifoldPoint:
         raise NotImplementedError(f"{type(self).__name__} has no exponential map")
@@ -202,8 +221,8 @@ class Euclidean(Manifold):
     def project_array(self, x, a):
         return np.array(a, dtype=float)
 
-    def retract_array(self, x, a):
-        return ManifoldPoint(self, _readonly(x.ambient + a))
+    def _retract_ambient(self, z):
+        return z
 
     def exp_array(self, x, a):
         return self.retract_array(x, a)
@@ -240,9 +259,8 @@ class Sphere(Manifold):
         a = np.asarray(a, dtype=float)
         return a - (a @ x.ambient)[..., None] * x.ambient
 
-    def retract_array(self, x, a):
-        z = x.ambient + a
-        return ManifoldPoint(self, _readonly(z / np.linalg.norm(z)))
+    def _retract_ambient(self, z):
+        return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
     def exp_array(self, x, a):
         t = np.linalg.norm(a)
@@ -285,10 +303,8 @@ class Oblique(Manifold):
         row_dots = np.sum(x.ambient * a, axis=-1, keepdims=True)
         return a - row_dots * x.ambient
 
-    def retract_array(self, x, a):
-        z = x.ambient + a
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        return ManifoldPoint(self, _readonly(z / norms))
+    def _retract_ambient(self, z):
+        return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
     def exp_array(self, x, a):
         a = np.asarray(a, dtype=float)
@@ -361,15 +377,24 @@ class FixedRank(Manifold):
         av = a @ v
         return u @ uta + (av - u @ (uta @ v)) @ v.T
 
-    def retract_array(self, x, a):
-        z = x.ambient + a
-        uu, ss, vvt = np.linalg.svd(z, full_matrices=False)
-        if ss[self.p - 1] <= RANK_DROP_RATIO * ss[0]:
-            raise RankDropError(
-                f"retraction target is numerically rank-deficient: "
-                f"sigma_p/sigma_1 = {ss[self.p - 1] / ss[0]:.3e}"
-            )
-        return self.from_factors(uu[:, : self.p], ss[: self.p], vvt[: self.p].T)
+    def retract_stack(self, x, a):
+        """One stacked SVD; a candidate whose p-th singular value is too small is not kept."""
+        uu, ss, vvt = np.linalg.svd(x.ambient + a, full_matrices=False)
+        p = self.p
+        u, sigma, vt = uu[..., :p], ss[..., :p], vvt[..., :p, :]
+        ys = (u * sigma[..., None, :]) @ vt
+        kept = ~(ss[:, p - 1] <= RANK_DROP_RATIO * ss[:, 0])
+
+        def point(i):
+            if not kept[i]:
+                raise RankDropError(
+                    f"retraction target is numerically rank-deficient: "
+                    f"sigma_p/sigma_1 = {ss[i, p - 1] / ss[i, 0]:.3e}"
+                )
+            # from_factors copies, so the point keeps no view of the stack
+            return self.from_factors(u[i], sigma[i], vt[i].T)
+
+        return ys, kept, point
 
     def weingarten(self, x, z, g):
         u, sigma, v = x.factors
@@ -415,6 +440,16 @@ def retract(x: ManifoldPoint, xi: TangentVector) -> ManifoldPoint:
     if not _same_point(xi.point, x):
         raise ValueError("tangent vector is not anchored at the given point")
     return x.manifold.retract_array(x, xi.data)
+
+
+def retract_ray(x: ManifoldPoint, xi: TangentVector, ts):
+    """Retractions of t * xi at x for every t of ts, as one stacked computation.
+
+    Returns what ``Manifold.retract_stack`` returns: (ys, kept, point).
+    """
+    if not _same_point(xi.point, x):
+        raise ValueError("tangent vector is not anchored at the given point")
+    return x.manifold.retract_stack(x, np.multiply.outer(ts, xi.data))
 
 
 def exp_map(x: ManifoldPoint, xi: TangentVector) -> ManifoldPoint:

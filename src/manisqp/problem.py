@@ -29,6 +29,7 @@ __all__ = [
     "riemannian_gradient",
     "lagrangian_hessian_matrix",
     "merit",
+    "merit_stack",
     "constraint_values",
     "kkt_residual",
 ]
@@ -43,21 +44,27 @@ class SmoothFunction:
     to an ambient direction v.  ``hess_stack(x, vs)``, when given, applies
     the Hessian to every array of a stack vs (one leading batch axis) and
     must agree with ``hess_vec``; it replaces the per-direction calls.
+    Likewise ``value_stack(xs)``, when given, returns the values at every
+    array of a stack xs as an array and replaces the per-point ``value``
+    calls of the merit function.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hess_vec: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess_stack: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    value_stack: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class ConstraintBlock:
     """k scalar constraints c_1..c_k given together by ambient callbacks.
 
-    ``values(x)`` returns the (k,) values, ``rows(x, bm)`` the (k, d)
-    contractions of the ambient gradients with the d basis vectors raveled
-    in the rows of bm, and ``weighted_gradient(x, w)`` sum_k w_k grad c_k(x).
+    ``values(xs)`` returns the (r, k) values at every array of a stack xs
+    of r ambient arrays (a single point is a stack of one), ``rows(x, bm)``
+    the (k, d) contractions of the ambient gradients with the d basis
+    vectors raveled in the rows of bm, and ``weighted_gradient(x, w)``
+    sum_k w_k grad c_k(x).
     ``weighted_hessian(x, w, vs)`` applies sum_k w_k Hess c_k(x) to every
     array of the stack vs; it is None for an affine block.
     """
@@ -82,13 +89,19 @@ class ConstraintBlock:
         def rows(x, bm):
             return np.array([fn.gradient(x).ravel() for fn in fns]).reshape(len(fns), bm.shape[1]) @ bm.T
 
+        def values(xs):
+            out = np.empty((len(xs), len(fns)))
+            for k, fn in enumerate(fns):
+                out[:, k] = [fn.value(x) for x in xs]
+            return out
+
         def weighted_hessian(x, w, vs):
             out = [weighted(w, lambda fn: fn.hess_vec(x, v), np.zeros(v.shape)) for v in vs]
             return np.array(out).reshape(vs.shape)
 
         return ConstraintBlock(
             size=len(fns),
-            values=lambda x: np.array([fn.value(x) for fn in fns], dtype=float),
+            values=values,
             rows=rows,
             weighted_gradient=lambda x, w: weighted(w, lambda fn: fn.gradient(x), np.zeros(x.shape)),
             weighted_hessian=weighted_hessian,
@@ -105,7 +118,7 @@ class ConstraintBlock:
             return self.weighted_hessian(x, unit, np.asarray(v)[None])[0]
 
         return SmoothFunction(
-            value=lambda x: float(self.values(x)[k]),
+            value=lambda x: float(self.values(np.asarray(x)[None])[0, k]),
             gradient=lambda x: self.weighted_gradient(x, unit),
             hess_vec=hess_vec,
         )
@@ -229,17 +242,26 @@ def lagrangian_hessian_matrix(prob: Problem, x: ManifoldPoint, eta: Multipliers,
 
 
 def constraint_values(prob: Problem, x: ManifoldPoint) -> tuple[np.ndarray, np.ndarray]:
-    xa = x.ambient
-    return prob.ineq.values(xa), prob.eq.values(xa)
+    xs = x.ambient[None]
+    return prob.ineq.values(xs)[0], prob.eq.values(xs)[0]
+
+
+def merit_stack(prob: Problem, xs: np.ndarray, rho: float) -> np.ndarray:
+    """Exact l1 penalty f + rho * (sum_i max(0, g_i) + sum_j |h_j|) at each array of the stack xs."""
+    if not 0.0 <= rho < math.inf:  # written so that NaN is rejected too
+        raise ValueError("penalty parameter must be nonnegative and finite")
+    f = prob.objective
+    fs = f.value_stack(xs) if f.value_stack is not None else np.array([f.value(x) for x in xs], dtype=float)
+    # each row of a C-ordered array is summed as the single row would be;
+    # a block may return its values in another layout
+    g, h = (np.ascontiguousarray(block.values(xs)) for block in (prob.ineq, prob.eq))
+    viol = np.maximum(g, 0.0).sum(axis=1) + np.abs(h).sum(axis=1)
+    return fs + rho * viol
 
 
 def merit(prob: Problem, x: ManifoldPoint, rho: float) -> float:
-    """Exact l1 penalty: f + rho * (sum_i max(0, g_i) + sum_j |h_j|)."""
-    if not rho >= 0.0:  # written so that NaN is rejected too
-        raise ValueError("penalty parameter must be nonnegative")
-    g, h = constraint_values(prob, x)
-    viol = float(np.maximum(g, 0.0).sum() + np.abs(h).sum())
-    return float(prob.objective.value(x.ambient)) + rho * viol
+    """The merit of one point: ``merit_stack`` on a stack of one."""
+    return float(merit_stack(prob, x.ambient[None], rho)[0])
 
 
 @dataclass(frozen=True)

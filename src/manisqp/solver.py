@@ -9,14 +9,23 @@ the Armijo condition
 
     gamma * t * <B d, d>  <=  P_rho(x) - P_rho(retract(x, t d))
 
-holds.  A Newton iteration on the KKT system (``newton_kkt_step``) is
-provided alongside for local analysis; it shares the basis and Hessian
-machinery but keeps the Hessian unmodified and treats all constraints as
+holds for t = beta^r with the smallest r >= 0.  The trial steps are
+evaluated in chunks of 1, 2, 4, ... candidates (``LINE_SEARCH_CHUNKS``),
+each chunk as one stacked retraction and one stacked merit evaluation; the
+first candidate of a chunk that drops rank or passes the test decides, so
+the accepted step is the one that testing r = 0, 1, 2, ... in turn would
+accept, bit for bit.
+
+A Newton iteration on the KKT system (``newton_kkt_step``) is provided
+alongside for local analysis; it shares the basis and Hessian machinery
+but keeps the Hessian unmodified and treats all constraints as
 equalities.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -29,6 +38,7 @@ from .manifolds import (
     TangentBasis,
     orthonormal_basis,
     retract,
+    retract_ray,
 )
 from .problem import (
     KktReport,
@@ -37,6 +47,7 @@ from .problem import (
     kkt_residual,
     lagrangian_hessian_matrix,
     merit,
+    merit_stack,
 )
 from .qp import build_subproblem, modify_hessian, solve_qp
 
@@ -60,6 +71,11 @@ __all__ = [
 STEP_ZERO_TOL = 1e-14
 
 B_STRATEGIES = ("modified_hessian", "identity")
+
+# Sizes of the successive chunks of line-search trial steps, the last one
+# repeating.  Doubling evaluates at most 2 r + 1 candidates when step r is
+# accepted, and the cap bounds the memory of one chunk.
+LINE_SEARCH_CHUNKS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 VERDICTS = ("converged", "max_iter", "max_time", "stalled", "qp_infeasible", "rank_drop")
 
@@ -101,6 +117,8 @@ class SolverConfig:
         for name in ("epsilon", "delta", "rho_init", "qp_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        if not self.rho_init < math.inf:
+            raise ValueError("rho_init must be finite")
         for name in ("residual_tol", "max_iter", "max_time", "max_backtracks", "seed"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -123,7 +141,10 @@ class IterationRecord:
     the subproblem certificate re-checkable from a stored trace.
     ``merit_reject`` is the merit at the last rejected trial step (None when
     the full step was accepted); ``stationary`` marks an iteration whose
-    subproblem step was numerically zero.
+    subproblem step was numerically zero.  ``merit_evals`` counts the trial
+    steps whose merit the line search computed, including those past the
+    accepted one in its last chunk; ``qp_iterations`` is the subproblem
+    solver's iteration count.
     """
 
     k: int
@@ -142,6 +163,8 @@ class IterationRecord:
     qp_kkt_error: float = float("nan")
     report: KktReport | None = None
     stationary: bool = False
+    merit_evals: int = 0
+    qp_iterations: int = 0
 
 
 @dataclass(eq=False)
@@ -179,25 +202,39 @@ class LineSearchResult:
     merit_base: float
     merit_next: float
     merit_reject: float | None
+    merit_evals: int
 
 
 def line_search(prob, x, direction, quad_form, rho, cfg) -> LineSearchResult:
     """Backtracking Armijo search along a retracted ray.
 
     Finds the smallest r >= 0 with
-    gamma * beta^r * quad_form <= P_rho(x) - P_rho(retract(x, beta^r * d)).
+    gamma * beta^r * quad_form <= P_rho(x) - P_rho(retract(x, beta^r * d)),
+    raising RankDropError if a retraction before it drops rank and
+    StallError if no r up to cfg.max_backtracks qualifies.  Candidates are
+    retracted and their merits computed a chunk at a time
+    (``LINE_SEARCH_CHUNKS``).
     """
-    if quad_form <= 0.0:
-        raise ValueError("quad_form must be positive")
+    if not 0.0 < quad_form < math.inf:  # written so that NaN is rejected too
+        raise ValueError("quad_form must be positive and finite")
     base = merit(prob, x, rho)
     reject = None
-    for r in range(cfg.max_backtracks + 1):
-        t = cfg.beta**r
-        x_trial = retract(x, direction.scaled(t))
-        m_trial = merit(prob, x_trial, rho)
-        if base - m_trial >= cfg.gamma * t * quad_form:
-            return LineSearchResult(t, r, x_trial, base, m_trial, reject)
-        reject = m_trial
+    chunks = itertools.chain(LINE_SEARCH_CHUNKS, itertools.repeat(LINE_SEARCH_CHUNKS[-1]))
+    r0 = 0
+    while r0 <= cfg.max_backtracks:
+        rs = range(r0, min(r0 + next(chunks), cfg.max_backtracks + 1))
+        ts = np.array([cfg.beta**r for r in rs])
+        ys, kept, point = retract_ray(x, direction, ts)
+        merits = merit_stack(prob, ys, rho)
+        # the first candidate that drops rank or passes the Armijo test decides
+        stop = np.flatnonzero(~kept | (base - merits >= cfg.gamma * ts * quad_form))
+        if stop.size:
+            i = int(stop[0])
+            if i:
+                reject = float(merits[i - 1])
+            return LineSearchResult(float(ts[i]), rs[i], point(i), base, float(merits[i]), reject, rs.stop)
+        reject = float(merits[-1])
+        r0 = rs.stop
     raise StallError(f"no acceptable step within {cfg.max_backtracks} backtracks")
 
 
@@ -242,7 +279,7 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
     stationary = step_norm <= STEP_ZERO_TOL
     if stationary:
         m_here = merit(prob, x, rho)
-        ls = LineSearchResult(0.0, 0, x, m_here, m_here, None)
+        ls = LineSearchResult(0.0, 0, x, m_here, m_here, None, 0)
     else:
         ls = line_search(prob, x, basis.from_coords(d_hat), quad_form, rho, cfg)
     report = kkt_residual(prob, ls.x_next, eta_next)
@@ -263,6 +300,8 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
         qp_kkt_error=sol.kkt_error,
         report=report,
         stationary=stationary,
+        merit_evals=ls.merit_evals,
+        qp_iterations=sol.iterations,
     )
     return IterateState(ls.x_next, eta_next, rho, k + 1), record
 

@@ -223,6 +223,12 @@ def test_merit_hand_values():
         m.merit(prob, x, -1.0)
     with pytest.raises(ValueError):
         m.merit(prob, x, float("nan"))
+    # inf * 0 violation would be NaN at a feasible point
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        m.merit(prob, x, float("inf"))
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        m.merit_stack(prob, np.zeros((3, 1)), float("inf"))
+    assert np.array_equal(m.merit_stack(prob, np.zeros((3, 1)), 2.0), np.full(3, m.merit(prob, x, 2.0)))
 
 
 def merit_equals(prob, x, rho, expected):

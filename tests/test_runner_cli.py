@@ -270,6 +270,10 @@ def test_cli_invalid_solver_values_exit_2(tmp_path, capsys):
         main(base + ["--residual-tol", "nan"])
     assert exc.value.code == 2
     assert "residual_tol must be nonnegative" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--rho-init", "inf"])
+    assert exc.value.code == 2
+    assert "rho_init must be finite" in capsys.readouterr().err
     comp = {"problem": "completion", "q": 4, "s": 8, "p": 2}
     bad_specs = (
         ({**comp, "solver": {"delta": 0.0}}, "delta must be positive"),

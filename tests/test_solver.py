@@ -61,6 +61,9 @@ def test_solver_config_validation():
     for name in ("beta", "gamma"):
         with pytest.raises(ValueError, match=f"{name} must lie in"):
             m.SolverConfig(**{name: nan})
+    # an infinite penalty makes the merit NaN at a feasible point
+    with pytest.raises(ValueError, match="rho_init must be finite"):
+        m.SolverConfig(rho_init=float("inf"))
     # zero stays valid: the feasibility phase runs with residual_tol=0.0
     m.SolverConfig(residual_tol=0.0, max_iter=0, max_backtracks=0, max_time=0.0)
     m.SolverConfig(max_time=float("inf"))
@@ -128,8 +131,11 @@ def test_line_search_requires_descent_model():
     prob = euclidean_toy()
     x = prob.manifold.point(np.array([1.0, 0.0]))
     d = m.TangentVector(x, np.array([-0.5, 0.5]))
-    with pytest.raises(ValueError):
-        m.line_search(prob, x, d, 0.0, rho=1.0, cfg=m.SolverConfig())
+    # NaN fails every comparison and +inf is no finite model: both are
+    # rejected up front, not searched until the backtrack budget runs out
+    for quad_form in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="quad_form must be positive and finite"):
+            m.line_search(prob, x, d, quad_form, rho=1.0, cfg=m.SolverConfig())
 
 
 def test_line_search_stalls_at_a_minimizer():
