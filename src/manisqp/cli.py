@@ -7,10 +7,9 @@ import dataclasses
 import json
 import sys
 
-from .instances import FAMILIES, START_TOL, gen_instance, instance_to_dict, problem_and_start
-from .problem import Multipliers
-from .runner import RunSpec, run, write_trace_csv
-from .solver import B_STRATEGIES, SolverConfig, SolveTrace, solve
+from .instances import FAMILIES, START_TOL, gen_instance, instance_to_dict
+from .runner import RunSpec, run, solve_instance, write_trace_csv
+from .solver import B_STRATEGIES, SolverConfig
 
 EXIT_CODES = {
     "converged": 0,
@@ -90,13 +89,7 @@ def _cmd_solve(parser, args) -> int:
         cfg = SolverConfig(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         parser.error(str(exc))
-    inst = _gen_instance(parser, args)
-    try:
-        prob, x0 = problem_and_start(inst, args.start_tol)
-    except RuntimeError as exc:
-        trace = SolveTrace(verdict="start_failed", reason=str(exc))
-    else:
-        _, trace = solve(prob, x0, Multipliers.zeros(prob.m, prob.n), cfg)
+    trace, _ = solve_instance(_gen_instance(parser, args), cfg, args.start_tol)
     if args.trace:
         write_trace_csv(args.trace, trace.records, wall_times=args.wall_times)
     last = trace.records[-1] if trace.records else None

@@ -17,14 +17,13 @@ oblique manifold relax the indicator vectors of a vertex partition:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .manifolds import FixedRank, ManifoldPoint, Oblique, RankDropError, _readonly
-from .problem import ConstraintBlock, Multipliers, Problem, SmoothFunction, constraint_values
-from .solver import IterateState, QpInfeasibleError, SolverConfig, StallError, step
+from .problem import ConstraintBlock, Multipliers, Problem, constraint_values
+from .solver import IterateState, QpInfeasibleError, SolverConfig, StallError, require_integers, step
 
 __all__ = [
     "FAMILIES",
@@ -107,6 +106,22 @@ def gen_completion(q: int, s: int, p: int, seed: int) -> CompletionInstance:
     return CompletionInstance(q=q, s=s, p=p, seed=seed, a=_readonly(a), observed=observed, pinned=pinned)
 
 
+def _objective(values, gradient, hessian=None) -> ConstraintBlock:
+    """The objective block of the values at a stack, the ambient gradient and the Hessian action.
+
+    ``values(xs)`` returns the r values at a stack of r points and
+    ``hessian(vs)`` the constant Hessian applied to a stack; None marks an
+    affine objective.  The basis row is the contraction ``bm @ grad``.
+    """
+    return ConstraintBlock(
+        size=1,
+        values=lambda xs: values(xs)[:, None],
+        rows=lambda x, bm: (bm @ gradient(x).ravel())[None],
+        weighted_gradient=lambda x, w: w[0] * gradient(x),
+        weighted_hessian=None if hessian is None else (lambda x, w, vs: w[0] * hessian(vs)),
+    )
+
+
 def _entry_block(shape: tuple[int, int], entries, sign: float, offset) -> ConstraintBlock:
     """The affine constraints sign * X_ij + offset on a list of entries.
 
@@ -135,12 +150,10 @@ def completion_problem(inst: CompletionInstance) -> Problem:
     mask = _readonly(mask)
     a = inst.a
 
-    objective = SmoothFunction(
-        value=lambda x: 0.5 * float(np.sum(mask * (x - a) ** 2)),
+    objective = _objective(
+        values=lambda xs: 0.5 * (mask * (xs - a) ** 2).reshape(len(xs), -1).sum(axis=1),
         gradient=lambda x: mask * (x - a),
-        hess_vec=lambda x, v: mask * v,
-        hess_stack=lambda x, vs: mask * vs,
-        value_stack=lambda xs: 0.5 * (mask * (xs - a) ** 2).reshape(len(xs), -1).sum(axis=1),
+        hessian=lambda vs: mask * vs,
     )
     shape, pinned = (inst.q, inst.s), inst.pinned
     return Problem(
@@ -181,13 +194,11 @@ def cut_problem(inst: CutInstance) -> Problem:
     lap = inst.laplacian
     q, s = inst.q, inst.s
 
-    objective = SmoothFunction(
-        value=lambda x: -0.25 * float(np.sum(x * (lap @ x))),
-        gradient=lambda x: -0.5 * (lap @ x),
-        hess_vec=lambda x, v: -0.5 * (lap @ v),
-        hess_stack=lambda x, vs: -0.5 * (lap @ vs),
+    objective = _objective(
         # a row sum of each flattened product adds in the order np.sum does
-        value_stack=lambda xs: -0.25 * (xs * (lap @ xs)).reshape(len(xs), -1).sum(axis=1),
+        values=lambda xs: -0.25 * (xs * (lap @ xs)).reshape(len(xs), -1).sum(axis=1),
+        gradient=lambda x: -0.5 * (lap @ x),
+        hessian=lambda vs: -0.5 * (lap @ vs),
     )
 
     def rows(x, bm):
@@ -267,13 +278,7 @@ def instance_from_dict(d: dict):
     raise ValueError(f"unknown problem kind: {kind!r}")
 
 
-_ZERO = SmoothFunction(
-    value=lambda x: 0.0,
-    gradient=lambda x: np.zeros(x.shape),
-    hess_vec=lambda x, v: np.zeros(v.shape),
-    hess_stack=lambda x, vs: np.zeros(vs.shape),
-    value_stack=lambda xs: np.zeros(len(xs)),
-)
+_ZERO = _objective(values=lambda xs: np.zeros(len(xs)), gradient=lambda x: np.zeros(x.shape))
 
 
 def _max_violation(prob: Problem, x: ManifoldPoint) -> float:
@@ -344,10 +349,7 @@ def instance_size(problem: str, q: int, s: int, p: int | None = None, density: f
     name, size = ("p", p) if problem == "completion" else ("density", density)
     if size is None:
         raise ValueError(f"{problem} needs {name}")
-    counts = {"q": q, "s": s, "p": p} if problem == "completion" else {"q": q, "s": s}
-    for key, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{key} must be an integer")
+    require_integers(q=q, s=s, **({"p": p} if problem == "completion" else {}))
     if problem == "completion":
         if not 1 <= p <= min(q, s):
             raise ValueError("need 1 <= p <= min(q, s)")

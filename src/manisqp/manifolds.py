@@ -4,9 +4,10 @@ Four manifolds are supported, all embedded in a Euclidean vector or matrix
 space and carrying the metric induced by the ambient inner product:
 
 * ``Euclidean(dim)``: flat space, used for reductions and toy problems.
-* ``Sphere(ambient_dim)``: unit vectors in R^n, dimension n - 1.
 * ``Oblique(q, s)``: q x s matrices whose rows are unit vectors in R^s,
   i.e. diag(X X^T) = e; dimension q (s - 1).
+* ``Sphere(n)``: unit vectors in R^n, dimension n - 1; the one-row
+  Oblique(1, n) with its point stored as a length-n vector.
 * ``FixedRank(q, s, p)``: q x s matrices of rank exactly p, stored as a
   factored triple (U, sigma, V) with U, V column-orthonormal and sigma > 0.
 
@@ -43,6 +44,9 @@ __all__ = [
 # A block of candidate tangent directions is redrawn when one of them keeps
 # less than this norm after orthogonalization against the ones before it.
 GRAM_SCHMIDT_REJECT = 1e-8
+
+# Largest ``Manifold.violation`` of a point that ``point_ok`` accepts.
+POINT_TOL = 1e-10
 
 # Retraction onto FixedRank fails when the p-th singular value falls below
 # this fraction of the largest one.
@@ -199,9 +203,8 @@ class Manifold:
         """Defect of the point invariants, 0.0 on an exact representation."""
         raise NotImplementedError
 
-    def point_ok(self, x: ManifoldPoint, tol: float = 1e-10) -> bool:
-        v = self.violation(x)
-        return bool(np.isfinite(v) and v <= tol)
+    def point_ok(self, x: ManifoldPoint) -> bool:
+        return bool(self.violation(x) <= POINT_TOL)  # NaN fails the test too
 
 
 @dataclass(frozen=True)
@@ -238,53 +241,11 @@ class Euclidean(Manifold):
 
 
 @dataclass(frozen=True)
-class Sphere(Manifold):
-    """Unit sphere in R^n with the induced metric.
-
-    Tangent space at x is x^perp.  The retraction is metric projection
-    (normalization), which agrees with the geodesic to second order.
-    """
-
-    ambient_dim: int
-
-    @property
-    def dim(self) -> int:
-        return self.ambient_dim - 1
-
-    @property
-    def ambient_shape(self) -> tuple[int, ...]:
-        return (self.ambient_dim,)
-
-    def project_array(self, x, a):
-        a = np.asarray(a, dtype=float)
-        return a - (a @ x.ambient)[..., None] * x.ambient
-
-    def _retract_ambient(self, z):
-        return z / np.linalg.norm(z, axis=-1, keepdims=True)
-
-    def exp_array(self, x, a):
-        t = np.linalg.norm(a)
-        if t == 0.0:
-            return ManifoldPoint(self, _readonly(x.ambient))
-        z = np.cos(t) * x.ambient + (np.sin(t) / t) * a
-        return ManifoldPoint(self, _readonly(z))
-
-    def weingarten(self, x, z, g):
-        return -np.dot(x.ambient, g) * z
-
-    def random_array(self, rng):
-        z = rng.standard_normal(self.ambient_dim)
-        return ManifoldPoint(self, _readonly(z / np.linalg.norm(z)))
-
-    def violation(self, x):
-        return abs(np.linalg.norm(x.ambient) - 1.0)
-
-
-@dataclass(frozen=True)
 class Oblique(Manifold):
     """Matrices in R^{q x s} with unit rows: diag(X X^T) = e.
 
-    A product of q spheres S^{s-1}; all operations act row-wise.
+    A product of q spheres S^{s-1}; all operations act row-wise, along the
+    last axis.
     """
 
     q: int
@@ -308,7 +269,7 @@ class Oblique(Manifold):
 
     def exp_array(self, x, a):
         a = np.asarray(a, dtype=float)
-        t = np.linalg.norm(a, axis=1, keepdims=True)
+        t = np.linalg.norm(a, axis=-1, keepdims=True)
         # rows with a zero tangent component stay put
         safe = np.where(t > 0.0, t, 1.0)
         z = np.cos(t) * x.ambient + np.sin(t) * (a / safe)
@@ -316,17 +277,32 @@ class Oblique(Manifold):
         return ManifoldPoint(self, _readonly(z))
 
     def weingarten(self, x, z, g):
-        row_dots = np.sum(x.ambient * g, axis=1, keepdims=True)
+        row_dots = np.sum(x.ambient * g, axis=-1, keepdims=True)
         return -row_dots * z
 
     def random_array(self, rng):
-        z = rng.standard_normal((self.q, self.s))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z = rng.standard_normal(self.ambient_shape)
+        z /= np.linalg.norm(z, axis=-1, keepdims=True)
         return ManifoldPoint(self, _readonly(z))
 
     def violation(self, x):
-        row_sq = np.sum(x.ambient * x.ambient, axis=1)
+        row_sq = np.sum(x.ambient * x.ambient, axis=-1)
         return float(np.linalg.norm(row_sq - 1.0))
+
+
+class Sphere(Oblique):
+    """Unit sphere in R^n with the induced metric: the one-row Oblique(1, n).
+
+    Points and tangent vectors are length-n vectors; the row-wise formulas
+    of Oblique act on them unchanged.
+    """
+
+    def __init__(self, ambient_dim: int):
+        super().__init__(1, ambient_dim)
+
+    @property
+    def ambient_shape(self) -> tuple[int, ...]:
+        return (self.s,)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ A problem bundles an objective and two blocks of scalar constraints,
 
     min  f(x)   s.t.  g_i(x) <= 0  (i = 1..m),   h_j(x) = 0  (j = 1..n),
 
-with x on an embedded manifold.  Every function is supplied through ambient
-callbacks, for a constraint block on all of its constraints at once;
+with x on an embedded manifold.  The objective is held as a block of one
+function, so the Lagrangian f + mu^T g + lam^T h is a weighted sum over
+three blocks with weights 1, mu and lam.  Every function is supplied
+through ambient callbacks, for a block on all of its functions at once;
 Riemannian quantities are obtained by projection plus the manifold's
 curvature correction, so no callback ever needs to know about the manifold.
 """
@@ -18,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .manifolds import Manifold, ManifoldPoint, TangentBasis, TangentVector, project_tangent
+from .manifolds import POINT_TOL, Manifold, ManifoldPoint, TangentBasis, TangentVector, project_tangent
 
 __all__ = [
     "SmoothFunction",
@@ -41,24 +43,18 @@ class SmoothFunction:
 
     ``value(x)`` maps an ambient array to a float, ``gradient(x)`` returns
     the ambient gradient, and ``hess_vec(x, v)`` the ambient Hessian applied
-    to an ambient direction v.  ``hess_stack(x, vs)``, when given, applies
-    the Hessian to every array of a stack vs (one leading batch axis) and
-    must agree with ``hess_vec``; it replaces the per-direction calls.
-    Likewise ``value_stack(xs)``, when given, returns the values at every
-    array of a stack xs as an array and replaces the per-point ``value``
-    calls of the merit function.
+    to an ambient direction v.  ``ConstraintBlock.of`` turns a sequence of
+    them into a block that calls them one point and one direction at a time.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hess_vec: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hess_stack: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    value_stack: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class ConstraintBlock:
-    """k scalar constraints c_1..c_k given together by ambient callbacks.
+    """k scalar functions c_1..c_k given together by ambient callbacks.
 
     ``values(xs)`` returns the (r, k) values at every array of a stack xs
     of r ambient arrays (a single point is a stack of one), ``rows(x, bm)``
@@ -108,7 +104,7 @@ class ConstraintBlock:
         )
 
     def scalar(self, k: int) -> SmoothFunction:
-        """Constraint k as a SmoothFunction, derived from the block."""
+        """Function k as a SmoothFunction, derived from the block."""
         unit = np.zeros(self.size)
         unit[k] = 1.0
 
@@ -139,27 +135,34 @@ class Multipliers:
 # Shared by every problem that leaves a constraint family out.
 NO_CONSTRAINTS = ConstraintBlock.of(())
 
+# The weight of the objective block in the Lagrangian f + mu^T g + lam^T h.
+_ONE = np.ones(1)
+
 
 class Problem:
-    """An objective and constraint blocks ``ineq`` and ``eq`` on a manifold.
+    """An objective block ``obj`` and constraint blocks ``ineq`` and ``eq`` on a manifold.
 
-    A sequence of SmoothFunctions given for ``inequalities`` or
-    ``equalities`` is wrapped into one block; the properties of those names
-    derive scalar SmoothFunction views of the blocks.
+    The objective is a ConstraintBlock of size 1 or a SmoothFunction, which
+    is wrapped into one; a sequence of SmoothFunctions given for
+    ``inequalities`` or ``equalities`` is wrapped into one block.  The
+    properties ``objective``, ``inequalities`` and ``equalities`` derive
+    scalar SmoothFunction views of the blocks.
     """
 
-    __slots__ = ("manifold", "objective", "ineq", "eq", "name")
+    __slots__ = ("manifold", "obj", "ineq", "eq", "name")
 
     def __init__(
         self,
         manifold: Manifold,
-        objective: SmoothFunction,
+        objective: SmoothFunction | ConstraintBlock,
         inequalities=NO_CONSTRAINTS,
         equalities=NO_CONSTRAINTS,
         name: str = "",
     ):
         self.manifold = manifold
-        self.objective = objective
+        self.obj = objective if isinstance(objective, ConstraintBlock) else ConstraintBlock.of((objective,))
+        if self.obj.size != 1:
+            raise ValueError(f"the objective block must have size 1, not {self.obj.size}")
         self.ineq = inequalities if isinstance(inequalities, ConstraintBlock) else ConstraintBlock.of(inequalities)
         self.eq = equalities if isinstance(equalities, ConstraintBlock) else ConstraintBlock.of(equalities)
         self.name = name
@@ -171,6 +174,10 @@ class Problem:
     @property
     def n(self) -> int:
         return self.eq.size
+
+    @property
+    def objective(self) -> SmoothFunction:
+        return self.obj.scalar(0)
 
     @property
     def inequalities(self) -> tuple[SmoothFunction, ...]:
@@ -186,8 +193,8 @@ GradientSelector = Union[str, tuple, Multipliers]
 
 def _lagrangian_gradient(prob: Problem, xa: np.ndarray, eta: Multipliers) -> np.ndarray:
     """Ambient gradient of f + mu^T g + lam^T h; a block with zero weights is skipped."""
-    out = np.array(prob.objective.gradient(xa), dtype=float)
-    for block, w in ((prob.ineq, eta.mu), (prob.eq, eta.lam)):
+    out = np.zeros(xa.shape)
+    for block, w in ((prob.obj, _ONE), (prob.ineq, eta.mu), (prob.eq, eta.lam)):
         if np.any(w):
             out += block.weighted_gradient(xa, w)
     return out
@@ -202,10 +209,8 @@ def riemannian_gradient(prob: Problem, x: ManifoldPoint, which: GradientSelector
     """
     if isinstance(which, Multipliers):
         return project_tangent(x, _lagrangian_gradient(prob, x.ambient, which))
-    if which == "objective":
-        return project_tangent(x, prob.objective.gradient(x.ambient))
-    kind, idx = which
-    blocks = {"ineq": prob.ineq, "eq": prob.eq}
+    kind, idx = ("obj", 0) if which == "objective" else which
+    blocks = {"obj": prob.obj, "ineq": prob.ineq, "eq": prob.eq}
     if kind not in blocks:
         raise ValueError(f"unknown gradient selector: {which!r}")
     return project_tangent(x, blocks[kind].scalar(idx).gradient(x.ambient))
@@ -219,21 +224,16 @@ def lagrangian_hessian_matrix(prob: Problem, x: ManifoldPoint, eta: Multipliers,
     manifold's curvature term W_x(e, ambient gradient of L).  The basis
     vectors are tangent and P_x is an orthogonal projection, so
     <P_x a, e_j> = <a, e_j>: the projection is skipped and the stacked
-    ambient actions are contracted with the basis in one product.  The
-    objective's Hessian acts on the whole stack when it has ``hess_stack``
-    and one direction at a time otherwise; affine constraint blocks add
+    ambient actions are contracted with the basis in one product.  Each
+    block's weighted Hessian acts on the whole stack; affine blocks add
     nothing.  The result is symmetrized by averaging.
     """
     xa = x.ambient
     d = len(basis)
     stack = basis.matrix.reshape(d, *xa.shape)
     grad = _lagrangian_gradient(prob, xa, eta)
-    f = prob.objective
-    if f.hess_stack is not None:
-        hess = f.hess_stack(xa, stack)
-    else:
-        hess = np.array([f.hess_vec(xa, e) for e in stack], dtype=float).reshape(stack.shape)
-    for block, w in ((prob.ineq, eta.mu), (prob.eq, eta.lam)):
+    hess = np.zeros(stack.shape)
+    for block, w in ((prob.obj, _ONE), (prob.ineq, eta.mu), (prob.eq, eta.lam)):
         if block.weighted_hessian is not None and np.any(w):
             hess = hess + block.weighted_hessian(xa, w, stack)
     hess = hess + prob.manifold.weingarten(x, stack, grad)
@@ -250,13 +250,11 @@ def merit_stack(prob: Problem, xs: np.ndarray, rho: float) -> np.ndarray:
     """Exact l1 penalty f + rho * (sum_i max(0, g_i) + sum_j |h_j|) at each array of the stack xs."""
     if not 0.0 <= rho < math.inf:  # written so that NaN is rejected too
         raise ValueError("penalty parameter must be nonnegative and finite")
-    f = prob.objective
-    fs = f.value_stack(xs) if f.value_stack is not None else np.array([f.value(x) for x in xs], dtype=float)
     # each row of a C-ordered array is summed as the single row would be;
     # a block may return its values in another layout
     g, h = (np.ascontiguousarray(block.values(xs)) for block in (prob.ineq, prob.eq))
     viol = np.maximum(g, 0.0).sum(axis=1) + np.abs(h).sum(axis=1)
-    return fs + rho * viol
+    return prob.obj.values(xs)[:, 0] + rho * viol
 
 
 def merit(prob: Problem, x: ManifoldPoint, rho: float) -> float:
@@ -303,7 +301,7 @@ def kkt_residual(prob: Problem, x: ManifoldPoint, eta: Multipliers) -> KktReport
     manvio = float(prob.manifold.violation(x))
 
     full = math.sqrt(stat**2 + ineq**2 + comp**2 + eq**2)
-    if not prob.manifold.point_ok(x):
+    if not manvio <= POINT_TOL:  # what point_ok tests; NaN fails it too
         full = float("inf")
     equality = math.sqrt(stat**2 + eq**2 + manvio**2)
     residual = full if prob.m > 0 else equality

@@ -130,7 +130,7 @@ def build_subproblem(prob: Problem, x: ManifoldPoint, basis: TangentBasis, h_plu
     The linear term and constraint rows are coordinates of the respective
     Riemannian gradients; since the basis is tangent, they equal the plain
     contraction of ambient gradients with the basis vectors, which each
-    constraint block forms for all of its rows at once.  Right-hand
+    block (the objective's too) forms for all of its rows at once.  Right-hand
     sides are the negated constraint values, so the model constraints read
     g_i + <grad g_i, d> <= 0 and h_j + <grad h_j, d> = 0.
     """
@@ -142,9 +142,8 @@ def build_subproblem(prob: Problem, x: ManifoldPoint, basis: TangentBasis, h_plu
         raise ValueError("Hessian model is not symmetric")
     xa = x.ambient
     bm = basis.matrix
-    c = bm @ np.asarray(prob.objective.gradient(xa), dtype=float).ravel()
     g, h = constraint_values(prob, x)
-    return QpModel(H=h_plus, c=c, A_ineq=prob.ineq.rows(xa, bm), b_ineq=-g, A_eq=prob.eq.rows(xa, bm), b_eq=-h)
+    return QpModel(H=h_plus, c=prob.obj.rows(xa, bm), A_ineq=prob.ineq.rows(xa, bm), b_ineq=-g, A_eq=prob.eq.rows(xa, bm), b_eq=-h)
 
 
 def _extended(model: QpModel) -> tuple[np.ndarray, ...]:
@@ -221,39 +220,29 @@ def _solve_saddle(H: np.ndarray, Ae: np.ndarray, r1: np.ndarray, r2: np.ndarray)
     """
     d = r1.size
     n = Ae.shape[0]
-
-    if n == 0:
-        def direct(r1_, r2_):
-            return scipy.linalg.cho_solve(cf, r1_), np.zeros(0)
-
+    # with no rows the SVD has rank 0 and the identity as null-space basis
+    u, sv, vt = np.linalg.svd(Ae, full_matrices=True)
+    rank = int(np.sum(sv > max(Ae.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)))
+    ur = u[:, :rank]
+    vr = vt[:rank].T
+    z = vt[rank:].T  # null-space basis of Ae, shape (d, d - rank)
+    if z.shape[1]:
+        red = z.T @ H @ z
         try:
-            cf = scipy.linalg.cho_factor(H)
+            red_cf = scipy.linalg.cho_factor(red)
+
+            def solve_red(rhs):
+                return scipy.linalg.cho_solve(red_cf, rhs)
         except scipy.linalg.LinAlgError:
-            def direct(r1_, r2_):  # noqa: F811 - fallback for semidefinite H
-                return scipy.linalg.solve(H, r1_, assume_a="sym"), np.zeros(0)
-    else:
-        u, sv, vt = np.linalg.svd(Ae, full_matrices=True)
-        rank = int(np.sum(sv > max(Ae.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)))
-        ur = u[:, :rank]
-        vr = vt[:rank].T
-        z = vt[rank:].T  # null-space basis of Ae, shape (d, d - rank)
+            def solve_red(rhs):
+                return scipy.linalg.solve(red, rhs, assume_a="sym")
+
+    def direct(r1_, r2_):
+        x = vr @ ((ur.T @ r2_) / sv[:rank])
         if z.shape[1]:
-            red = z.T @ H @ z
-            try:
-                red_cf = scipy.linalg.cho_factor(red)
-
-                def solve_red(rhs):
-                    return scipy.linalg.cho_solve(red_cf, rhs)
-            except scipy.linalg.LinAlgError:
-                def solve_red(rhs):
-                    return scipy.linalg.solve(red, rhs, assume_a="sym")
-
-        def direct(r1_, r2_):
-            x = vr @ ((ur.T @ r2_) / sv[:rank])
-            if z.shape[1]:
-                x = x + z @ solve_red(z.T @ (r1_ - H @ x))
-            lam = ur @ ((vr.T @ (r1_ - H @ x)) / sv[:rank])
-            return x, lam
+            x = x + z @ solve_red(z.T @ (r1_ - H @ x))
+        lam = ur @ ((vr.T @ (r1_ - H @ x)) / sv[:rank])
+        return x, lam
 
     ld = np.longdouble
     hl = H.astype(ld)
@@ -264,13 +253,8 @@ def _solve_saddle(H: np.ndarray, Ae: np.ndarray, r1: np.ndarray, r2: np.ndarray)
     x, lam = direct(r1, r2)
     best = None
     for sweep in range(_REFINE_PASSES + 1):
-        res1 = r1l - hl @ x.astype(ld)
-        if n:
-            res1 = res1 - al.T @ lam.astype(ld)
-            res2 = np.asarray(r2l - al @ x.astype(ld), dtype=float)
-        else:
-            res2 = np.zeros(0)
-        res1 = np.asarray(res1, dtype=float)
+        res1 = np.asarray(r1l - hl @ x.astype(ld) - al.T @ lam.astype(ld), dtype=float)
+        res2 = np.asarray(r2l - al @ x.astype(ld), dtype=float)
         size = max(
             float(np.max(np.abs(res1))) if d else 0.0,
             float(np.max(np.abs(res2))) if n else 0.0,

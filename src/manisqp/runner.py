@@ -22,9 +22,9 @@ import numpy as np
 
 from .instances import START_TOL, gen_instance, instance_size, problem_and_start
 from .problem import Multipliers
-from .solver import SolverConfig, SolveTrace, solve
+from .solver import SolverConfig, SolveTrace, require_integers, solve
 
-__all__ = ["RunSpec", "run", "write_trace_csv", "decade_crossings", "TRACE_COLUMNS"]
+__all__ = ["RunSpec", "run", "solve_instance", "write_trace_csv", "decade_crossings", "TRACE_COLUMNS"]
 
 TRACE_COLUMNS = (
     "iter",
@@ -59,8 +59,11 @@ class RunSpec:
 
     def __post_init__(self):
         instance_size(self.problem, self.q, self.s, self.p, self.density)
+        require_integers(trials=self.trials, seed=self.seed)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @staticmethod
     def from_dict(d: dict) -> "RunSpec":
@@ -114,23 +117,28 @@ def decade_crossings(records) -> dict[int, float]:
     return out
 
 
-def _run_trial(spec: RunSpec, trial: int):
-    """Returns (seed, trace, elapsed seconds).
+def solve_instance(inst, cfg: SolverConfig, start_tol: float = START_TOL):
+    """Solve an instance from its start point and zero multipliers.
 
-    A start that fails is a trace with verdict "start_failed", its reason
-    and the seconds the start took; otherwise elapsed is the solve's last
-    record time.
+    Returns (trace, elapsed seconds).  A start that fails is a trace with
+    verdict "start_failed", its reason and the seconds the start took;
+    otherwise elapsed is the solve's last record time.
     """
+    t0 = time.perf_counter()
+    try:
+        prob, x0 = problem_and_start(inst, start_tol)
+    except RuntimeError as exc:
+        return SolveTrace(verdict="start_failed", reason=str(exc)), time.perf_counter() - t0
+    _, trace = solve(prob, x0, Multipliers.zeros(prob.m, prob.n), cfg)
+    return trace, trace.records[-1].wall_time if trace.records else 0.0
+
+
+def _run_trial(spec: RunSpec, trial: int):
+    """Returns (seed, trace, elapsed seconds) of trial number `trial`."""
     iseed = trial_seed(spec.seed, trial)
     cfg = dataclasses.replace(spec.solver, seed=iseed)
     inst = gen_instance(spec.problem, spec.q, spec.s, spec.p, spec.density, iseed)
-    t0 = time.perf_counter()
-    try:
-        prob, x0 = problem_and_start(inst, spec.start_tol)
-    except RuntimeError as exc:
-        return iseed, SolveTrace(verdict="start_failed", reason=str(exc)), time.perf_counter() - t0
-    _, trace = solve(prob, x0, Multipliers.zeros(prob.m, prob.n), cfg)
-    return iseed, trace, trace.records[-1].wall_time if trace.records else 0.0
+    return (iseed, *solve_instance(inst, cfg, spec.start_tol))
 
 
 def run(spec: RunSpec, out_dir: str):

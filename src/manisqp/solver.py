@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -91,6 +92,13 @@ class StallError(RuntimeError):
 _FAILURE_VERDICTS = {QpInfeasibleError: "qp_infeasible", RankDropError: "rank_drop", StallError: "stalled"}
 
 
+def require_integers(**counts) -> None:
+    """Raise ValueError naming the first value that is not an integer (a bool is not one)."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 0.5
@@ -119,6 +127,7 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
         if not self.rho_init < math.inf:
             raise ValueError("rho_init must be finite")
+        require_integers(max_iter=self.max_iter, max_backtracks=self.max_backtracks, seed=self.seed)
         for name in ("residual_tol", "max_iter", "max_time", "max_backtracks", "seed"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -286,7 +295,7 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
     record = IterationRecord(
         k=k,
         wall_time=round(time.perf_counter() - t0, 6),
-        f=float(prob.objective.value(ls.x_next.ambient)),
+        f=float(prob.obj.values(ls.x_next.ambient[None])[0, 0]),
         merit=ls.merit_next,
         residual=report.residual,
         rho=rho,

@@ -103,9 +103,9 @@ def test_matches_definition_on_completion_iterations(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [euclidean_toy, lambda: sphere_tilt()[0], lambda: curved_toy()[0]])
-def test_matches_definition_on_toys_without_value_stack(monkeypatch, make):
+def test_matches_definition_on_toys(monkeypatch, make):
+    # the toy objectives are SmoothFunctions, evaluated per point by ConstraintBlock.of
     prob = make()
-    assert prob.objective.value_stack is None
     x0 = m.random_point(prob.manifold, 4)
     cfg = m.SolverConfig(residual_tol=1e-10, max_iter=20)
     check_all_budgets(recorded_searches(monkeypatch, prob, x0, cfg))

@@ -244,6 +244,28 @@ def test_array_geometry_acts_on_stacks():
             assert np.max(np.abs(w[k] - man.weingarten(x, tangent[k], g))) < 1e-14
 
 
+def test_sphere_is_the_one_row_oblique():
+    # a Sphere(n) point is the one row of an Oblique(1, n) point, and every
+    # formula gives that row's result bit for bit
+    sph, obl = m.Sphere(5), m.Oblique(1, 5)
+    assert (sph.dim, sph.ambient_shape) == (4, (5,))
+    x, y = m.random_point(sph, 11), m.random_point(obl, 11)
+    assert np.array_equal(x.ambient, y.ambient[0])
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(3, 5))
+    ta = sph.project_array(x, a)
+    assert np.array_equal(ta, obl.project_array(y, a[:, None])[:, 0])
+    g = rng.normal(size=5)
+    assert np.array_equal(sph.weingarten(x, ta, g), obl.weingarten(y, ta[:, None], g[None])[:, 0])
+    ys, kept, point = sph.retract_stack(x, ta)
+    yo, kept_o, _ = obl.retract_stack(y, ta[:, None])
+    assert np.array_equal(ys, yo[:, 0]) and kept.all() and kept_o.all()
+    assert point(1).ambient.shape == (5,)
+    assert np.array_equal(sph.exp_array(x, ta[0]).ambient, obl.exp_array(y, ta[:1]).ambient[0])
+    bad = sph.point(np.array([2.0, 0.0, 0.0, 0.0, 0.0]))
+    assert sph.violation(bad) == obl.violation(obl.point(bad.ambient[None])) == 3.0
+
+
 def test_sphere_weingarten_closed_form():
     sph = m.Sphere(5)
     x = m.random_point(sph, 131)

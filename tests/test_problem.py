@@ -126,58 +126,84 @@ def test_lagrangian_hessian_keeps_curved_constraint_hessians():
         assert np.array_equal(prob.equalities[0].hess_vec(x.ambient, v), np.array([-2.0 * v[0], 0.0]))
 
 
-def _scalar_constraints(name):
-    """A bundled family's problem and its constraints written one by one.
+def _scalar_functions(name):
+    """A bundled family's problem and its functions written one by one.
 
-    Returns (problem, [(value, ambient gradient) callables per inequality],
-    [... per equality]) with the scalar formulas of each family.
+    Returns (problem, {"objective": [...], "ineq": [...], "eq": [...]}) with
+    (value, ambient gradient) callables per function, from the scalar
+    formulas of each family.
     """
     if name == "completion":
         inst = m.gen_completion(4, 8, 2, seed=2)
+        mask = np.zeros((inst.q, inst.s))
+        for i, j in inst.fit_set:
+            mask[i, j] = 1.0
+        a = inst.a
 
         def entry(i, j, sign, offset):
             grad = np.zeros((inst.q, inst.s))
             grad[i, j] = sign
             return (lambda x: sign * x[i, j] + offset), (lambda x: grad)
 
-        ineqs = [entry(i, j, -1.0, 0.0) for i, j in inst.unknown]
-        eqs = [entry(i, j, 1.0, -float(inst.a[i, j])) for i, j in inst.pinned]
-        return m.completion_problem(inst), ineqs, eqs
+        return m.completion_problem(inst), {
+            "objective": [(lambda x: 0.5 * float(np.sum(mask * (x - a) ** 2)), lambda x: mask * (x - a))],
+            "ineq": [entry(i, j, -1.0, 0.0) for i, j in inst.unknown],
+            "eq": [entry(i, j, 1.0, -float(a[i, j])) for i, j in inst.pinned],
+        }
     inst = m.gen_balanced_cut(50, 2, 0.01, seed=4)
+    lap = inst.laplacian
 
     def column(j):
         grad = np.zeros((inst.q, inst.s))
         grad[:, j] = 1.0
         return (lambda x: float(np.sum(x[:, j]))), (lambda x: grad)
 
-    return m.cut_problem(inst), [], [column(j) for j in range(inst.s)]
+    return m.cut_problem(inst), {
+        "objective": [(lambda x: -0.25 * float(np.sum(x * (lap @ x))), lambda x: -0.5 * (lap @ x))],
+        "ineq": [],
+        "eq": [column(j) for j in range(inst.s)],
+    }
 
 
 @pytest.mark.parametrize("name", ["completion", "balanced_cut"])
 def test_constraint_blocks_match_the_scalar_formulas(name):
-    prob, ineqs, eqs = _scalar_constraints(name)
-    assert (prob.m, prob.n) == (len(ineqs), len(eqs))
+    prob, fns = _scalar_functions(name)
+    assert (prob.m, prob.n) == (len(fns["ineq"]), len(fns["eq"]))
     for seed in range(3):
         x = m.random_point(prob.manifold, 40 + seed)
         xa = x.ambient
         basis = m.orthonormal_basis(x, 50 + seed)
         model = m.build_subproblem(prob, x, basis, np.eye(len(basis)))
         g, h = m.constraint_values(prob, x)
-        for kind, scalars, values, rows, views in (
-            ("ineq", ineqs, g, model.A_ineq, prob.inequalities),
-            ("eq", eqs, h, model.A_eq, prob.equalities),
+        for kind, values, rows, views in (
+            # the merit at rho = 0 is the objective value the line search reads
+            ("objective", m.merit_stack(prob, xa[None], 0.0), model.c[None], (prob.objective,)),
+            ("ineq", g, model.A_ineq, prob.inequalities),
+            ("eq", h, model.A_eq, prob.equalities),
         ):
+            scalars = fns[kind]
             if not scalars:
                 assert values.shape == (0,) and rows.shape == (0, len(basis))
                 continue
             grads = np.array([grad(xa).ravel() for _, grad in scalars])
-            assert np.array_equal(rows, grads @ basis.matrix.T)
+            # the linear term of the model is the coordinate vector bm @ grad
+            expected = (basis.matrix @ grads[0])[None] if kind == "objective" else grads @ basis.matrix.T
+            assert np.array_equal(rows, expected)
             assert np.array_equal(values, [value(xa) for value, _ in scalars])
             assert np.array_equal(values, [view.value(xa) for view in views])
             for k, ((_, grad), view) in enumerate(zip(scalars, views)):
                 assert np.array_equal(view.gradient(xa), grad(xa))
-                riem = m.riemannian_gradient(prob, x, (kind, k))
+                riem = m.riemannian_gradient(prob, x, kind if kind == "objective" else (kind, k))
                 assert np.array_equal(riem.data, m.project_tangent(x, grad(xa)).data)
+
+
+def test_objective_block_must_have_size_one():
+    prob = euclidean_toy()
+    for k in (0, 2):
+        with pytest.raises(ValueError, match=f"objective block must have size 1, not {k}"):
+            m.Problem(prob.manifold, m.ConstraintBlock.of([prob.objective] * k))
+    block = m.ConstraintBlock.of([prob.objective])
+    assert m.Problem(prob.manifold, block).obj is block
 
 
 def test_lagrangian_hessian_of_a_zero_dimensional_manifold_is_empty():
@@ -313,6 +339,23 @@ def test_kkt_residual_invalid_point_is_infinite():
     rep = m.kkt_residual(prob, bad, m.Multipliers(np.zeros(0), np.zeros(1)))
     assert math.isinf(rep.residual_full)
     assert rep.manifold_violation > 0.5
+
+
+def test_kkt_residual_computes_the_manifold_violation_once(monkeypatch):
+    prob, x_star, lam_star = sphere_tilt()
+    x = prob.manifold.point(x_star)
+    eta = m.Multipliers(np.zeros(0), np.array([lam_star]))
+    calls = []
+
+    def violation(self, x):
+        calls.append(x)
+        return float("nan")
+
+    monkeypatch.setattr(m.Sphere, "violation", violation)
+    rep = m.kkt_residual(prob, x, eta)
+    assert len(calls) == 1
+    # a NaN defect fails point_ok, so the full residual is infinite
+    assert math.isinf(rep.residual_full) and math.isnan(rep.manifold_violation)
 
 
 def test_kkt_residual_validates_multiplier_shapes():

@@ -142,6 +142,24 @@ def test_solve_qp_unconstrained_example():
     assert sol.eta.mu.size == 0 and sol.eta.lam.size == 0
 
 
+def test_saddle_solve_without_rows_solves_with_h():
+    # no rows: the SVD gives rank 0 and the identity as null-space basis, so
+    # the reduced system is H itself, by Cholesky or, for an indefinite H,
+    # by the symmetric solve
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(5, 5))
+    q, _ = np.linalg.qr(a)
+    r1 = rng.normal(size=5)
+    for w in ([1e-5, 0.1, 1.0, 2.0, 30.0], [-2.0, -1e-3, 0.5, 1.0, 4.0]):
+        h = (q * w) @ q.T
+        h = (h + h.T) / 2.0
+        x, lam = qp._solve_saddle(h, np.zeros((0, 5)), r1, np.zeros(0))
+        assert lam.shape == (0,)
+        assert np.max(np.abs(h @ x - r1)) < 1e-10 * np.linalg.norm(x)
+    x, lam = qp._solve_saddle(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+    assert x.shape == lam.shape == (0,)
+
+
 def test_solve_qp_single_inequality_example():
     model = m.QpModel(np.eye(1), np.array([-1.0]), np.array([[1.0]]), np.array([-0.2]), np.zeros((0, 1)), np.zeros(0))
     sol = m.solve_qp(model, 1e-10)

@@ -123,6 +123,10 @@ def test_runspec_roundtrip_and_validation():
     for kwargs in bad_shapes:
         with pytest.raises(ValueError):
             m.RunSpec(**kwargs)
+    for name in ("trials", "seed"):
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                m.RunSpec(problem="completion", q=4, s=8, p=2, **{name: value})
 
 
 def test_run_artifacts_match_summary(tmp_path):
@@ -280,6 +284,9 @@ def test_cli_invalid_solver_values_exit_2(tmp_path, capsys):
         ({"problem": "balanced_cut", "q": 0, "s": 2, "density": 0.5}, "need q >= 1"),
         ({"problem": "balanced_cut", "q": 5.5, "s": 2, "density": 0.5}, "q must be an integer"),
         ({**comp, "p": 2.5}, "p must be an integer"),
+        ({**comp, "trials": 2.5}, "trials must be an integer"),
+        ({**comp, "seed": -1}, "seed must be nonnegative"),
+        ({**comp, "solver": {"max_iter": 2.5}}, "max_iter must be an integer"),
         ({**comp, "bogus": 1}, "bogus"),
         ({**comp, "solver": {"foo": 1}}, "foo"),
     )

@@ -52,6 +52,12 @@ def test_solver_config_validation():
     for name in ("max_iter", "max_backtracks", "max_time", "residual_tol"):
         with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
             m.SolverConfig(**{name: -1})
+    # counts are integers: a fractional budget or seed is not truncated
+    for name in ("max_iter", "max_backtracks", "seed"):
+        for value in (2.5, 2.0, True, "3"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                m.SolverConfig(**{name: value})
+    assert m.SolverConfig(max_iter=np.int64(3), seed=np.uint32(7)).seed == 7
     # NaN fails every comparison; it is rejected, not taken as "no limit"
     nan = float("nan")
     for name, rule in (("residual_tol", "nonnegative"), ("max_time", "nonnegative"), ("delta", "positive"),
