@@ -12,12 +12,16 @@ without the certificate holding to the requested tolerance.
 Two routes are used internally: problems without inequality rows reduce to
 a single saddle-point solve (null-space method with one refinement pass),
 everything else goes through a Mehrotra-style predictor-corrector interior
-point iteration on the slack form.  Infeasibility is decided by an elastic
-phase-1 linear program that minimizes the total constraint violation.  It
-runs at most once per model: when the interior-point path ends uncertified,
-or earlier, after ``_IPM_PHASE1_ITER`` uncertified iterations, where a
-minimum violation above (m + n) * tol ends the path at once, because no
-point of the model could then be certified.
+point iteration on the slack form.  An interior-point iterate gets the
+extended-precision certificate only when a float64 lower bound on its KKT
+violation (``_rules_out``) cannot show that it misses tol; the iterates it
+skips are evaluated if the path ends uncertified, so the returned point is
+the same either way.  Infeasibility is decided by an elastic phase-1 linear
+program that minimizes the total constraint violation.  It runs at most once
+per model: at the first iterate whose duality gap exceeds the first
+iterate's, at iteration ``_IPM_PHASE1_ITER`` at the latest, or when the
+path ends uncertified.  A minimum violation above (m + n) * tol ends the
+path at once, because no point of the model could then be certified.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ MU_CLAMP = 1e-10
 
 _IPM_MAX_ITER = 100
 # Uncertified interior-point iterations after which the phase-1 LP runs
-# once and an infeasible model is decided.  Certified subproblems of the
-# completion workloads (4x8, 5x10) take at most 20 iterations.
+# at the latest and an infeasible model is decided.  Certified subproblems
+# of the completion workloads (4x8, 5x10) take at most 20 iterations.
 _IPM_PHASE1_ITER = 25
 
 
@@ -71,8 +75,9 @@ class QpModel:
         d = np.asarray(self.c, dtype=float).size
         object.__setattr__(self, "H", _readonly(np.asarray(self.H, dtype=float).reshape(d, d)))
         object.__setattr__(self, "c", _readonly(np.asarray(self.c, dtype=float).reshape(d)))
-        ai = np.asarray(self.A_ineq, dtype=float).reshape(-1, d)
-        ae = np.asarray(self.A_eq, dtype=float).reshape(-1, d)
+        # row counts come from the right-hand sides, so that d = 0 works too
+        ai = np.asarray(self.A_ineq, dtype=float).reshape(np.size(self.b_ineq), d)
+        ae = np.asarray(self.A_eq, dtype=float).reshape(np.size(self.b_eq), d)
         object.__setattr__(self, "A_ineq", _readonly(ai))
         object.__setattr__(self, "b_ineq", _readonly(np.asarray(self.b_ineq, dtype=float).reshape(ai.shape[0])))
         object.__setattr__(self, "A_eq", _readonly(ae))
@@ -81,6 +86,13 @@ class QpModel:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.c.size, self.b_ineq.size, self.b_eq.size
+
+    def nonfinite_block(self) -> str | None:
+        """Name of the first block with a nonfinite entry, or None."""
+        for name in ("H", "c", "A_ineq", "b_ineq", "A_eq", "b_eq"):
+            if not np.isfinite(getattr(self, name)).all():
+                return name
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +130,7 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
         raise ValueError("H is not symmetric")
     sym = (H + H.T) / 2.0
     w, q = np.linalg.eigh(sym)
-    if w[0] >= delta:
+    if not w.size or w[0] >= delta:
         return np.array(H)
     out = (q * np.maximum(w, delta)) @ q.T
     return (out + out.T) / 2.0
@@ -200,7 +212,10 @@ def _phase1_min_violation(model: QpModel) -> float:
         a_eq = np.hstack([model.A_eq, np.zeros((n, m)), np.eye(n), -np.eye(n)])
         b_eq = model.b_eq
     bounds = [(None, None)] * d + [(0, None)] * (m + 2 * n)
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    # HiGHS's presolve costs more than it saves on LPs this small
+    res = linprog(
+        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs", options={"presolve": False}
+    )
     if not res.success:
         return float("inf")
     return float(res.fun)
@@ -291,10 +306,57 @@ def _solve_equality_qp(model: QpModel, tol: float) -> QpSolution:
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0.0
-    if not neg.any():
-        return np.inf
-    return float((-v[neg] / dv[neg]).min())
+    # the reduction called directly: ndarray.min adds a Python-level wrapper
+    return float(np.minimum.reduce(np.where(dv < 0.0, -v / dv, np.inf)))
+
+
+def _screen(model: QpModel) -> tuple:
+    """What ``_rules_out`` reads of a model, built once per model.
+
+    With k = d + m + n + 4 terms at most in any residual entry, float64 and
+    extended-precision evaluations of it each differ from the exact value by
+    at most k * u * (sum of the magnitudes of its terms), u the unit
+    roundoff, plus k underflow units.  ``gamma`` doubles their sum, which
+    also covers the rounding of the bound itself.
+    """
+    d, m, n = model.dims
+    k = d + m + n + 4
+    gamma = k * (np.finfo(float).eps + np.finfo(np.longdouble).eps)
+    tiny = 2 * k * np.finfo(float).smallest_subnormal
+    blocks = (np.abs(a) for a in (model.H, model.c, model.A_ineq, model.b_ineq, model.A_eq))
+    return (gamma, tiny, *blocks)
+
+
+def _rules_out(screen: tuple, tol: float, x, z, y, rd: np.ndarray, slack: np.ndarray) -> bool:
+    """True when float64 residuals prove that ``_kkt_error`` at (x, z, y) exceeds tol.
+
+    ``rd`` is the stationarity residual H x + c + A_ineq^T z + A_eq^T y and
+    ``slack`` is A_ineq x - b_ineq, both evaluated in float64 at (x, z, y).
+    Each entry less its rounding bound is a lower bound on the matching
+    entry of the extended-precision certificate.  NaN or inf in a bound
+    never rules an iterate out: NaN propagates through the maximum, and an
+    overflowed float64 slack times a tiny z could exceed tol when the
+    extended-precision product does not.
+    """
+    gamma, tiny, h, c, ai, bi, ae = screen
+    xa = np.abs(x)
+    za = np.abs(z)
+    stat = h @ xa + c + ai.T @ za
+    if y.size:
+        stat += ae.T @ np.abs(y)
+    if tol < np.maximum.reduce(np.abs(rd) - (gamma * stat + tiny), initial=-np.inf) < np.inf:
+        return True
+    comp = za * (np.abs(slack) - (gamma * (ai @ xa + bi) + tiny))
+    return bool(tol < np.maximum.reduce(comp, initial=-np.inf) < np.inf)
+
+
+def _phase1_due(it: int, gap: float, gap_first: float) -> bool:
+    """Whether the phase-1 LP runs at interior-point iteration ``it``.
+
+    Once the duality gap has grown past the first iterate's, the path is
+    rarely heading for a certificate; ``_IPM_PHASE1_ITER`` bounds the wait.
+    """
+    return gap > gap_first or it == _IPM_PHASE1_ITER
 
 
 def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
@@ -303,6 +365,7 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
     ae, be = model.A_eq, model.b_eq
     d, m, n = model.dims
     ext = _extended(model)
+    screen = _screen(model)
     # the l1 violation of any d is at most (m + n) times its max-norm KKT
     # error, so above this phase-1 value no iterate can be certified
     hopeless = max(INFEASIBILITY_TOL, (m + n) * tol)
@@ -316,59 +379,58 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
     s = np.maximum(1.0, bi - ai @ x)
     z = np.ones(m)
 
-    best = None
+    # (KKT error, or None where the screen skipped it, x, z, y) per iterate;
+    # the arrays are replaced, never modified, so keeping them is safe
+    iterates = []
     # slacks collapse when the constraints are inconsistent, and the
     # divisions by them overflow; every such case ends the central path at
     # the best iterate so far through a finiteness check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, _IPM_MAX_ITER + 1):
-            err = _kkt_error(ext, x, z, y)
-            if best is None or err < best[0]:
-                best = (err, x, z, y)
-            if err <= tol:
-                mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
-                return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=it)
-            if it == _IPM_PHASE1_ITER:
+            ax = ai @ x
+            rd = H @ x + c + ai.T @ z + (ae.T @ y if n else 0.0)
+            err = None
+            if not _rules_out(screen, tol, x, z, y, rd, ax - bi):
+                err = _kkt_error(ext, x, z, y)
+                if err <= tol:
+                    mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
+                    return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=it)
+            iterates.append((err, x, z, y))
+            gap = float(z @ s) / m
+            if it == 1:
+                gap_first = gap
+            if phase1 is None and _phase1_due(it, gap, gap_first):
                 phase1 = _phase1_min_violation(model)
                 if phase1 > hopeless:
                     break
 
-            rd = H @ x + c + ai.T @ z + (ae.T @ y if n else 0.0)
             re = ae @ x - be if n else np.zeros(0)
-            ri = ai @ x + s - bi
-            gap = float(z @ s) / m
+            ri = ax + s - bi
 
             dd = z / s
-            if not np.isfinite(dd).all():
-                break
-            kkt = np.zeros((d + n, d + n), order="F")
-            kkt[:d, :d] = H + (ai.T * dd) @ ai
-            if n:
-                kkt[:d, d:] = ae.T
-                kkt[d:, :d] = ae
-            if not np.isfinite(kkt).all():
-                break
-            lu, piv, info = dgetrf(kkt, overwrite_a=True)
-            if info:  # singular: the solves below could only give inf/nan
-                break
+            if d + n:  # LAPACK rejects an empty matrix
+                kkt = np.zeros((d + n, d + n), order="F")
+                kkt[:d, :d] = H + (ai.T * dd) @ ai
+                if n:
+                    kkt[:d, d:] = ae.T
+                    kkt[d:, :d] = ae
+                lu, piv, info = dgetrf(kkt, overwrite_a=True)
+                if info:  # singular: the solves below could only give inf/nan
+                    break
 
             def newton(rc):
                 rhs = np.empty(d + n)
                 rhs[:d] = -(rd + ai.T @ (rc / s + dd * ri))
                 if n:
                     rhs[d:] = -re
-                if not np.isfinite(rhs).all():
-                    return None
-                sol, _ = dgetrs(lu, piv, rhs, overwrite_b=True)
-                if not np.isfinite(sol).all():
-                    return None
+                sol = dgetrs(lu, piv, rhs, overwrite_b=True)[0] if d + n else rhs
                 dx = sol[:d]
-                dy = sol[d:]
                 ds = -ri - ai @ dx
                 dz = (rc - z * ds) / s
-                if not (np.isfinite(ds).all() and np.isfinite(dz).all()):
+                # a nonfinite z / s, right-hand side or ds makes sol or dz nonfinite
+                if not (np.isfinite(sol).all() and np.isfinite(dz).all()):
                     return None
-                return dx, dy, ds, dz
+                return dx, sol[d:], ds, dz
 
             # predictor
             pred = newton(-z * s)
@@ -392,10 +454,18 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
             s = s + ap * ds
             y = y + ad * dy
             z = z + ad * dz
-            if not (np.isfinite(x).all() and np.isfinite(s).all() and np.isfinite(z).all()):
+            if not (np.isfinite(x).all() and np.isfinite(s).all() and np.isfinite(z).all() and np.isfinite(y).all()):
                 break
             if gap < 1e-18:
                 break
+
+        # first minimum, as if every iterate had been evaluated in turn
+        best = None
+        for err, x, z, y in iterates:
+            if err is None:
+                err = _kkt_error(ext, x, z, y)
+            if best is None or err < best[0]:
+                best = (err, x, z, y)
 
     err, x, z, y = best
     if phase1 is None:
@@ -412,10 +482,13 @@ def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
     point is <= tol.  A run that cannot be certified is classified by the
     phase-1 check: "infeasible" when even the most forgiving point violates
     the linearized constraints by more than 1e-8 in total, "max_iter"
-    otherwise.
+    otherwise.  Raises ValueError naming a block with a nonfinite entry.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    bad = model.nonfinite_block()
+    if bad is not None:
+        raise ValueError(f"subproblem {bad} has nonfinite entries")
     _, m, _ = model.dims
     if m == 0:
         return _solve_equality_qp(model, tol)

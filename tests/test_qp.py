@@ -305,7 +305,8 @@ def test_early_infeasibility_decision_keeps_every_verdict(monkeypatch):
     models = _seeded_models()
     early = [m.solve_qp(model, 1e-10) for model in models]
     check = qp._IPM_PHASE1_ITER
-    monkeypatch.setattr(qp, "_IPM_PHASE1_ITER", qp._IPM_MAX_ITER + 1)
+    # neither trigger fires: the LP runs only when the path ends uncertified
+    monkeypatch.setattr(qp, "_phase1_due", lambda it, gap, gap_first: False)
     late = [m.solve_qp(model, 1e-10) for model in models]
 
     statuses = [sol.status for sol in late]
@@ -324,6 +325,8 @@ def test_early_infeasibility_decision_keeps_every_verdict(monkeypatch):
 
 
 def test_infeasible_model_is_decided_at_the_check_point(monkeypatch):
+    # the check point is the first iterate whose duality gap exceeds the
+    # first iterate's, or iteration _IPM_PHASE1_ITER at the latest
     calls = []
 
     def counted(*args, **kwargs):
@@ -338,12 +341,110 @@ def test_infeasible_model_is_decided_at_the_check_point(monkeypatch):
         model = _dense_rows_qp(rng)
         calls.clear()
         sol = m.solve_qp(model, 1e-10)
-        assert len(calls) == (sol.status != "optimal")  # phase 1 runs at most once
-        if sol.status == "infeasible" and sol.iterations == qp._IPM_PHASE1_ITER:
+        assert len(calls) <= 1  # phase 1 runs at most once
+        if sol.status != "optimal":
+            assert len(calls) == 1
+        if sol.status == "infeasible":
+            # the growing gap decides every one before the latest check point
+            assert sol.iterations < qp._IPM_PHASE1_ITER
             decided += 1
             assert not sol.kkt_error <= 1e-10
             assert sol.d.shape == (4,) and sol.eta.mu.shape == (8,) and sol.eta.lam.shape == (2,)
-    assert decided >= 10
+    assert decided == 14
+
+
+def _screened(model, tol, x, z, y):
+    rd = model.H @ x + model.c + model.A_ineq.T @ z + model.A_eq.T @ y
+    return qp._rules_out(qp._screen(model), tol, x, z, y, rd, model.A_ineq @ x - model.b_ineq)
+
+
+def test_screen_rules_out_only_uncertifiable_iterates(monkeypatch):
+    tol = 1e-10
+    seen = []
+    rules_out = qp._rules_out
+
+    def recorded(screen, tol, x, z, y, rd, slack):
+        out = rules_out(screen, tol, x, z, y, rd, slack)
+        seen.append((out, x, z, y))
+        return out
+
+    monkeypatch.setattr(qp, "_rules_out", recorded)
+    ruled = kept = 0
+    certified = []
+    for model in _seeded_models():
+        seen.clear()
+        sol = m.solve_qp(model, tol)
+        if sol.status == "optimal":
+            certified.append((model, sol))
+        for out, x, z, y in seen:
+            if out:
+                ruled += 1
+                assert m.kkt_violation(model, x, z, y) > tol
+            else:
+                kept += 1
+    assert ruled > 5 * kept > 0
+
+    # near a certified solution, down to the tolerance itself
+    rng = np.random.default_rng(8)
+    ruled = 0
+    for model, sol in certified:
+        for scale in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+            x, z, y = (v + scale * (1.0 + np.abs(v)) * rng.normal(size=v.size) for v in (sol.d, sol.eta.mu, sol.eta.lam))
+            err = m.kkt_violation(model, x, z, y)
+            if _screened(model, tol, x, z, y):
+                ruled += 1
+                assert err > tol
+            # at tol = err not even the exact certificate exceeds tol
+            assert not _screened(model, err, x, z, y)
+    assert ruled > len(certified)
+
+
+def test_screen_leaves_every_solution_unchanged(monkeypatch):
+    models = _seeded_models() + _degenerate_models()
+    screened = [m.solve_qp(model, 1e-10) for model in models]
+    monkeypatch.setattr(qp, "_rules_out", lambda *args: False)
+    for i, (model, a) in enumerate(zip(models, screened)):
+        b = m.solve_qp(model, 1e-10)
+        assert a.status == b.status and a.iterations == b.iterations, i
+        assert np.array_equal(a.d, b.d), i
+        assert np.array_equal(a.eta.mu, b.eta.mu), i
+        assert np.array_equal(a.eta.lam, b.eta.lam), i
+        assert np.array_equal(a.kkt_error, b.kkt_error, equal_nan=True), i
+
+
+@pytest.mark.parametrize(
+    "block, m_ineq",
+    [("H", 0), ("c", 0), ("A_eq", 0), ("b_eq", 0), ("H", 1), ("c", 1), ("A_ineq", 1), ("b_ineq", 1), ("A_eq", 1), ("b_eq", 1)],
+)
+def test_solve_qp_names_a_nonfinite_block(block, m_ineq):
+    data = dict(
+        H=np.eye(2),
+        c=np.ones(2),
+        A_ineq=np.ones((m_ineq, 2)),
+        b_ineq=np.ones(m_ineq),
+        A_eq=np.array([[1.0, -1.0]]),
+        b_eq=np.zeros(1),
+    )
+    data[block].flat[0] = np.nan if block.startswith(("A", "b")) else np.inf
+    with pytest.raises(ValueError, match=f"subproblem {block} has nonfinite entries"):
+        m.solve_qp(m.QpModel(**data), 1e-10)
+
+
+def test_zero_dimensional_subproblem():
+    assert m.modify_hessian(np.zeros((0, 0)), 1e-5).shape == (0, 0)
+    empty = (np.zeros((0, 0)), np.zeros(0))
+    # inequality rows 0 <= 1 and 0 <= 0: the interior-point route has no
+    # Newton matrix to factor
+    model = m.QpModel(*empty, np.zeros((2, 0)), np.array([1.0, 0.0]), *empty)
+    assert model.dims == (0, 2, 0)
+    sol = m.solve_qp(model, 1e-10)
+    assert sol.status == "optimal" and sol.d.shape == (0,) and sol.eta.mu.shape == (2,)
+    # 0 <= -1 fails
+    model = m.QpModel(*empty, np.zeros((1, 0)), np.array([-1.0]), *empty)
+    assert m.solve_qp(model, 1e-10).status == "infeasible"
+    # the equality route
+    model = m.QpModel(*empty, *empty, np.zeros((1, 0)), np.zeros(1))
+    assert m.solve_qp(model, 1e-10).status == "optimal"
 
 
 def test_solve_qp_restores_the_floating_point_error_state(monkeypatch):
@@ -362,9 +463,9 @@ def test_solve_qp_restores_the_floating_point_error_state(monkeypatch):
         assert np.geterr() == before
 
 
-def test_degenerate_models_emit_no_runtime_warning():
+def _degenerate_models():
     none2 = (np.zeros((0, 2)), np.zeros(0))
-    models = [
+    return [
         # rows near the float64 range: the first residuals overflow
         m.QpModel(np.eye(2), np.zeros(2), np.array([[1e200, 0.0], [-1e200, 0.0]]), np.array([-1e200, -1e200]), *none2),
         # a zero row with a negative right-hand side
@@ -377,7 +478,10 @@ def test_degenerate_models_emit_no_runtime_warning():
         # inconsistent equalities next to an inequality
         m.QpModel(np.eye(2), np.zeros(2), np.array([[1.0, 0.0]]), np.array([1.0]), np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([0.0, 1.0])),
     ]
+
+
+def test_degenerate_models_emit_no_runtime_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for model in models:
+        for model in _degenerate_models():
             assert m.solve_qp(model, 1e-10).status in ("optimal", "infeasible", "max_iter")

@@ -273,6 +273,53 @@ def test_verdict_qp_infeasible():
     assert trace.records == []
 
 
+@pytest.mark.parametrize("kind", ["ineq", "eq"])
+def test_verdict_stalled_on_nonfinite_subproblem_data(kind, capfd):
+    # sqrt(x0) - 1 at x0 = -1: the constraint value and gradient are NaN,
+    # while the Lagrangian Hessian (zero multiplier) is finite
+    man = m.Euclidean(2)
+    obj = m.SmoothFunction(
+        value=lambda x: float(x @ x),
+        gradient=lambda x: 2.0 * x,
+        hess_vec=lambda x, v: 2.0 * v,
+    )
+    root = m.SmoothFunction(
+        value=lambda x: float(np.sqrt(x[0]) - 1.0),
+        gradient=lambda x: np.array([0.5 / np.sqrt(x[0]), 0.0]),
+        hess_vec=lambda x, v: np.array([-0.25 * x[0] ** -1.5 * v[0], 0.0]),
+    )
+    cons = (root,)
+    prob = m.Problem(man, obj, cons if kind == "ineq" else (), cons if kind == "eq" else ())
+    with np.errstate(invalid="ignore"):
+        state, trace = m.solve(prob, man.point(np.array([-1.0, 0.5])))
+    assert trace.verdict == "stalled"
+    assert trace.reason == f"subproblem A_{kind} has nonfinite entries"
+    assert trace.records == []
+    assert capfd.readouterr().err == ""  # no LAPACK complaint
+
+
+def test_zero_dimensional_manifold_ends_with_a_verdict():
+    # each row of Oblique(3, 1) is +-1: the tangent space is {0}
+    man = m.Oblique(3, 1)
+    obj = m.SmoothFunction(
+        value=lambda x: float(x.sum()),
+        gradient=lambda x: np.ones_like(x),
+        hess_vec=lambda x, v: np.zeros_like(v),
+    )
+    below = m.SmoothFunction(  # x00 <= 2, inactive
+        value=lambda x: float(x[0, 0] - 2.0),
+        gradient=lambda x: np.array([[1.0], [0.0], [0.0]]),
+        hess_vec=lambda x, v: np.zeros_like(v),
+    )
+    for ineq in ((), (below,)):
+        prob = m.Problem(man, obj, ineq, ())
+        x0 = m.random_point(man, 0)
+        state, trace = m.solve(prob, x0)
+        assert trace.verdict == "converged"
+        assert len(trace.records) == 1 and trace.records[0].step_norm == 0.0
+        assert np.array_equal(state.x.ambient, x0.ambient)
+
+
 def test_verdict_rank_drop():
     fr = m.FixedRank(4, 4, 2)
     x0 = m.random_point(fr, 31)
