@@ -15,6 +15,12 @@ Tangent vectors are stored in the ambient shape for every manifold,
 including FixedRank.  That keeps inner products, the QR-drawn tangent basis
 and basis coordinate arithmetic uniform across manifolds at the matrix
 sizes this package targets.
+
+Oblique and Sphere reduce along rows.  A row shorter than 8 entries is
+summed by ``_row_sum`` as column slices added in numpy's own sequential
+order, which gives ``np.sum``'s and ``np.linalg.norm``'s bits at a few
+whole-array additions instead of one reduction call per row; longer rows,
+which numpy sums pairwise, use ``np.sum``.
 """
 
 from __future__ import annotations
@@ -55,6 +61,27 @@ RANK_DROP_RATIO = 1e-12
 
 class RankDropError(RuntimeError):
     """Retraction target left the rank-p stratum."""
+
+
+# From this many terms on, numpy sums a contiguous axis pairwise in unrolled
+# blocks, an order column slices do not reproduce; below it, numpy adds the
+# terms one after the other, starting from +0.0.
+_PAIRWISE_SUM_MIN = 8
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=-1, keepdims=True)``, bit for bit.
+
+    Short rows are added as column slices in numpy's own order, which costs
+    a few whole-array additions instead of one reduction call per row.
+    """
+    s = a.shape[-1]
+    if not 0 < s < _PAIRWISE_SUM_MIN:
+        return np.sum(a, axis=-1, keepdims=True)
+    out = 0.0 + a[..., 0:1]
+    for j in range(1, s):
+        out += a[..., j : j + 1]
+    return out
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -261,11 +288,11 @@ class Oblique(Manifold):
 
     def project_array(self, x, a):
         a = np.asarray(a, dtype=float)
-        row_dots = np.sum(x.ambient * a, axis=-1, keepdims=True)
-        return a - row_dots * x.ambient
+        return a - _row_sum(x.ambient * a) * x.ambient
 
     def _retract_ambient(self, z):
-        return z / np.linalg.norm(z, axis=-1, keepdims=True)
+        # np.linalg.norm(z, axis=-1) is this square root of the row sums
+        return z / np.sqrt(_row_sum(z * z))
 
     def exp_array(self, x, a):
         a = np.asarray(a, dtype=float)
@@ -277,8 +304,7 @@ class Oblique(Manifold):
         return ManifoldPoint(self, _readonly(z))
 
     def weingarten(self, x, z, g):
-        row_dots = np.sum(x.ambient * g, axis=-1, keepdims=True)
-        return -row_dots * z
+        return -_row_sum(x.ambient * g) * z
 
     def random_array(self, rng):
         z = rng.standard_normal(self.ambient_shape)
@@ -286,7 +312,7 @@ class Oblique(Manifold):
         return ManifoldPoint(self, _readonly(z))
 
     def violation(self, x):
-        row_sq = np.sum(x.ambient * x.ambient, axis=-1)
+        row_sq = _row_sum(x.ambient * x.ambient)[..., 0]
         return float(np.linalg.norm(row_sq - 1.0))
 
 

@@ -10,7 +10,8 @@ against the KKT conditions of this model and never reports "optimal"
 without the certificate holding to the requested tolerance.
 
 Two routes are used internally: problems without inequality rows reduce to
-a single saddle-point solve (null-space method with one refinement pass),
+a single saddle-point solve (null-space method with extended-precision
+refinement, the reduced Hessian factored by LAPACK's Cholesky routines),
 everything else goes through a Mehrotra-style predictor-corrector interior
 point iteration on the slack form.  An interior-point iterate gets the
 extended-precision certificate only when a float64 lower bound on its KKT
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 from scipy.optimize import linprog
 
 from .manifolds import ManifoldPoint, TangentBasis, _readonly
@@ -224,55 +225,69 @@ def _phase1_min_violation(model: QpModel) -> float:
 _REFINE_PASSES = 6
 
 
-def _solve_saddle(H: np.ndarray, Ae: np.ndarray, r1: np.ndarray, r2: np.ndarray):
+def _rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
+    """Numerical rank of a matrix of the given shape from its singular values."""
+    return int(np.sum(sv > max(shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)))
+
+
+def _check_finite(a: np.ndarray) -> None:
+    # scipy.linalg's check_finite, which cho_factor and cho_solve applied
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _solve_saddle(H, Ae, r1, r2, hl, al, r1l, r2l):
     """Solve [[H, Ae^T], [Ae, 0]] (x, y) = (r1, r2) by the null-space method.
 
-    Returns (x, y).  Uses the SVD of Ae, so rank-deficient consistent rows
-    are tolerated.  The backward error is polished by iterative refinement
-    with extended-precision residuals: when H carries floored eigenvalues
-    near delta, the solution norm scales like 1/delta and a single float64
-    pass would leave the residual orders above the attainable floor.
+    Returns (x, y).  ``hl``, ``al``, ``r1l`` and ``r2l`` are the four inputs
+    in extended precision.  Uses the SVD of Ae, so rank-deficient consistent
+    rows are tolerated.  The backward error is polished by iterative
+    refinement with extended-precision residuals: when H carries floored
+    eigenvalues near delta, the solution norm scales like 1/delta and a
+    single float64 pass would leave the residual orders above the attainable
+    floor.  The reduced Hessian is factored by LAPACK's Cholesky routines
+    directly, the ones ``scipy.linalg.cho_factor``/``cho_solve`` call, with
+    their finiteness checks; an indefinite one is solved symmetrically.
     """
     d = r1.size
     n = Ae.shape[0]
     # with no rows the SVD has rank 0 and the identity as null-space basis
     u, sv, vt = np.linalg.svd(Ae, full_matrices=True)
-    rank = int(np.sum(sv > max(Ae.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)))
+    rank = _rank(sv, Ae.shape)
     ur = u[:, :rank]
     vr = vt[:rank].T
     z = vt[rank:].T  # null-space basis of Ae, shape (d, d - rank)
     if z.shape[1]:
         red = z.T @ H @ z
-        try:
-            red_cf = scipy.linalg.cho_factor(red)
-
-            def solve_red(rhs):
-                return scipy.linalg.cho_solve(red_cf, rhs)
-        except scipy.linalg.LinAlgError:
+        _check_finite(red)
+        red_cf, info = dpotrf(red, lower=False, clean=True)
+        if info > 0:
             def solve_red(rhs):
                 return scipy.linalg.solve(red, rhs, assume_a="sym")
+        else:
+            def solve_red(rhs):
+                _check_finite(rhs)
+                return dpotrs(red_cf, rhs, lower=False)[0]
+
+    svr = sv[:rank]
 
     def direct(r1_, r2_):
-        x = vr @ ((ur.T @ r2_) / sv[:rank])
+        x = vr @ ((ur.T @ r2_) / svr)
         if z.shape[1]:
             x = x + z @ solve_red(z.T @ (r1_ - H @ x))
-        lam = ur @ ((vr.T @ (r1_ - H @ x)) / sv[:rank])
+        lam = ur @ ((vr.T @ (r1_ - H @ x)) / svr)
         return x, lam
 
     ld = np.longdouble
-    hl = H.astype(ld)
-    al = Ae.astype(ld)
-    r1l = r1.astype(ld)
-    r2l = r2.astype(ld)
-
     x, lam = direct(r1, r2)
     best = None
     for sweep in range(_REFINE_PASSES + 1):
-        res1 = np.asarray(r1l - hl @ x.astype(ld) - al.T @ lam.astype(ld), dtype=float)
-        res2 = np.asarray(r2l - al @ x.astype(ld), dtype=float)
+        xl = x.astype(ld)
+        res1 = np.asarray(r1l - hl @ xl - al.T @ lam.astype(ld), dtype=float)
+        res2 = np.asarray(r2l - al @ xl, dtype=float)
         size = max(
-            float(np.max(np.abs(res1))) if d else 0.0,
-            float(np.max(np.abs(res2))) if n else 0.0,
+            float(np.abs(res1).max()) if d else 0.0,
+            float(np.abs(res2).max()) if n else 0.0,
         )
         if best is None or size < best[0]:
             best = (size, x, lam)
@@ -299,8 +314,11 @@ def _solve_equality_qp(model: QpModel, tol: float) -> QpSolution:
                 status="infeasible",
                 iterations=0,
             )
-    x, lam = _solve_saddle(model.H, model.A_eq, -model.c, model.b_eq)
-    err = kkt_violation(model, x, np.zeros(0), lam)
+    # one extended-precision cast serves the refinement and the certificate
+    ext = _extended(model)
+    hl, cl, _, _, al, bl = ext
+    x, lam = _solve_saddle(model.H, model.A_eq, -model.c, model.b_eq, hl, al, -cl, bl)
+    err = _kkt_error(ext, x, np.zeros(0), lam)
     status = "optimal" if err <= tol else "max_iter"
     return QpSolution(d=x, eta=Multipliers(np.zeros(0), lam), kkt_error=err, status=status, iterations=1)
 
@@ -359,16 +377,47 @@ def _phase1_due(it: int, gap: float, gap_first: float) -> bool:
     return gap > gap_first or it == _IPM_PHASE1_ITER
 
 
-def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
+def _independent_rows(a: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a, in order, that each raise the ``_rank`` of the rows kept before them."""
+    keep = []
+    for j in range(a.shape[0]):
+        rows = a[keep + [j]]
+        if _rank(np.linalg.svd(rows, compute_uv=False), rows.shape) > len(keep):
+            keep.append(j)
+    return np.array(keep, dtype=int)
+
+
+def _solve_ipm(model: QpModel, tol: float, rows: np.ndarray | None = None) -> QpSolution:
+    """Interior-point route.
+
+    Linearly dependent equality rows make the Newton matrix singular, at
+    once or after rounding has hidden it for a few iterations; at the first
+    singular factorization the path then starts again on the independent
+    ``rows`` alone, with zero multipliers for the others.  Certificate and
+    phase-1 LP stay the whole model's, so dependent rows that are
+    inconsistent still end "infeasible".
+    """
     H, c = model.H, model.c
     ai, bi = model.A_ineq, model.b_ineq
     ae, be = model.A_eq, model.b_eq
-    d, m, n = model.dims
+    d, m, n_model = model.dims
+    if rows is not None:
+        ae, be = ae[rows], be[rows]
+    n = be.size
+
+    def lift(y):
+        # the path's equality multipliers as the model's
+        if rows is None:
+            return y
+        out = np.zeros(n_model)
+        out[rows] = y
+        return out
+
     ext = _extended(model)
     screen = _screen(model)
     # the l1 violation of any d is at most (m + n) times its max-norm KKT
     # error, so above this phase-1 value no iterate can be certified
-    hopeless = max(INFEASIBILITY_TOL, (m + n) * tol)
+    hopeless = max(INFEASIBILITY_TOL, (m + n_model) * tol)
     phase1 = None
 
     if n:
@@ -390,11 +439,11 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
             ax = ai @ x
             rd = H @ x + c + ai.T @ z + (ae.T @ y if n else 0.0)
             err = None
-            if not _rules_out(screen, tol, x, z, y, rd, ax - bi):
-                err = _kkt_error(ext, x, z, y)
+            if not _rules_out(screen, tol, x, z, lift(y), rd, ax - bi):
+                err = _kkt_error(ext, x, z, lift(y))
                 if err <= tol:
                     mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
-                    return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=it)
+                    return QpSolution(d=x, eta=Multipliers(mu, lift(y)), kkt_error=err, status="optimal", iterations=it)
             iterates.append((err, x, z, y))
             gap = float(z @ s) / m
             if it == 1:
@@ -416,6 +465,10 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
                     kkt[d:, :d] = ae
                 lu, piv, info = dgetrf(kkt, overwrite_a=True)
                 if info:  # singular: the solves below could only give inf/nan
+                    if n and rows is None:
+                        keep = _independent_rows(ae)
+                        if keep.size < n:
+                            return _solve_ipm(model, tol, keep)
                     break
 
             def newton(rc):
@@ -463,7 +516,7 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
         best = None
         for err, x, z, y in iterates:
             if err is None:
-                err = _kkt_error(ext, x, z, y)
+                err = _kkt_error(ext, x, z, lift(y))
             if best is None or err < best[0]:
                 best = (err, x, z, y)
 
@@ -472,7 +525,7 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
         phase1 = _phase1_min_violation(model)
     status = "infeasible" if phase1 > INFEASIBILITY_TOL else "max_iter"
     mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
-    return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status=status, iterations=it)
+    return QpSolution(d=x, eta=Multipliers(mu, lift(y)), kkt_error=err, status=status, iterations=it)
 
 
 def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:

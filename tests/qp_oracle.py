@@ -7,6 +7,10 @@ the best candidate that is primal feasible with nonnegative active-set
 multipliers.  For strictly convex H this visits the (unique) optimum, so it
 is a trustworthy oracle for anything the production solver returns.  Cost is
 exponential in m; keep m small.
+
+``reference_saddle`` is the equality route's saddle solve as it reads with
+scipy's ``cho_factor``/``cho_solve``, against which the LAPACK-direct one is
+checked bit for bit.
 """
 
 import itertools
@@ -85,3 +89,61 @@ def random_qp(rng, d_max=6, m_max=4, n_max=2):
     A_eq = rng.normal(size=(n, d))
     b_eq = A_eq @ x_bar
     return H, c, A_ineq, b_ineq, A_eq, b_eq
+
+
+def reference_saddle(H, Ae, r1, r2, passes=6):
+    """Null-space saddle solve through scipy's validating Cholesky wrappers.
+
+    The formulas of ``manisqp.qp._solve_saddle``, with the reduced Hessian
+    factored by ``scipy.linalg.cho_factor`` and solved by ``cho_solve``
+    (``scipy.linalg.solve`` when it is indefinite); ``passes`` is the number
+    of extended-precision refinement passes.  Returns (x, y).
+    """
+    import scipy.linalg
+
+    d = r1.size
+    n = Ae.shape[0]
+    u, sv, vt = np.linalg.svd(Ae, full_matrices=True)
+    rank = int(np.sum(sv > max(Ae.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)))
+    ur = u[:, :rank]
+    vr = vt[:rank].T
+    z = vt[rank:].T
+    if z.shape[1]:
+        red = z.T @ H @ z
+        try:
+            red_cf = scipy.linalg.cho_factor(red)
+
+            def solve_red(rhs):
+                return scipy.linalg.cho_solve(red_cf, rhs)
+        except scipy.linalg.LinAlgError:
+            def solve_red(rhs):
+                return scipy.linalg.solve(red, rhs, assume_a="sym")
+
+    def direct(r1_, r2_):
+        x = vr @ ((ur.T @ r2_) / sv[:rank])
+        if z.shape[1]:
+            x = x + z @ solve_red(z.T @ (r1_ - H @ x))
+        lam = ur @ ((vr.T @ (r1_ - H @ x)) / sv[:rank])
+        return x, lam
+
+    ld = np.longdouble
+    hl, al, r1l, r2l = (a.astype(ld) for a in (H, Ae, r1, r2))
+    x, lam = direct(r1, r2)
+    best = None
+    for sweep in range(passes + 1):
+        res1 = np.asarray(r1l - hl @ x.astype(ld) - al.T @ lam.astype(ld), dtype=float)
+        res2 = np.asarray(r2l - al @ x.astype(ld), dtype=float)
+        size = max(
+            float(np.max(np.abs(res1))) if d else 0.0,
+            float(np.max(np.abs(res2))) if n else 0.0,
+        )
+        if best is None or size < best[0]:
+            best = (size, x, lam)
+        else:
+            break
+        if sweep == passes:
+            break
+        dx, dlam = direct(res1, res2)
+        x = x + dx
+        lam = lam + dlam
+    return best[1], best[2]

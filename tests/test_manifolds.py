@@ -373,3 +373,69 @@ def test_project_tangent_shape_check():
     x = m.random_point(m.Oblique(4, 2), 191)
     with pytest.raises(ValueError):
         m.project_tangent(x, np.zeros((2, 4)))
+
+
+
+def _special_stacks(shape, rng):
+    """Arrays of the given shape whose sums test signed zeros, inf, NaN, overflow and subnormals."""
+    tiny = np.finfo(float).smallest_subnormal
+    yield np.full(shape, -0.0)
+    yield np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    for special in (np.inf, -np.inf, np.nan, 1e308, -1e308):
+        a = rng.normal(size=shape)
+        a[..., rng.integers(shape[-1])] = special
+        yield a
+    yield np.full(shape, 1e308)
+    yield np.where(rng.random(shape) < 0.5, np.inf, -np.inf)
+    yield rng.integers(-3, 4, size=shape) * tiny
+    yield rng.normal(size=shape) * 1e-300 * 1e-10
+
+
+def test_row_sum_is_numpys_sum_bit_for_bit():
+    # rows shorter than 8 are added as column slices in numpy's sequential
+    # order from +0.0, so a row of -0.0 sums to +0.0; longer rows go to
+    # np.sum itself.  1-D Sphere points and (k, q, s) stacks both occur.
+    rng = np.random.default_rng(161)
+    for s in range(1, 13):
+        for shape in ((s,), (5, s), (4, 50, s)):
+            wide = rng.normal(size=shape) * np.exp(rng.uniform(-30.0, 30.0, size=shape))
+            for a in (wide, *_special_stacks(shape, rng)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = m.manifolds._row_sum(a)
+                    want = np.sum(a, axis=-1, keepdims=True)
+                assert got.shape == want.shape, (s, shape)
+                assert got.tobytes() == want.tobytes(), (s, shape, a)
+
+
+def test_oblique_formulas_match_the_numpy_reductions_bit_for_bit():
+    # the reductions written out with np.sum and np.linalg.norm are the oracle
+    def project(x, a):
+        return a - np.sum(x * a, axis=-1, keepdims=True) * x
+
+    def retract(x, a):
+        z = x + a
+        return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+    def weingarten(x, z, g):
+        return -np.sum(x * g, axis=-1, keepdims=True) * z
+
+    def violation(x):
+        return float(np.linalg.norm(np.sum(x * x, axis=-1) - 1.0))
+
+    mans = [m.Oblique(5, s) for s in range(1, 10)] + [m.Sphere(n) for n in (2, 3, 7, 8, 12)]
+    for i, man in enumerate(mans):
+        rng = np.random.default_rng(170 + i)
+        x = m.random_point(man, 171 + i)
+        stack = rng.normal(size=(6, *man.ambient_shape))
+        g = rng.normal(size=man.ambient_shape)
+        tangent = man.project_array(x, stack)
+        assert np.array_equal(tangent, project(x.ambient, stack)), man
+        assert np.array_equal(man.project_array(x, stack[0]), project(x.ambient, stack[0])), man
+        ts = np.array([1.0, 0.5, 1e-3, 1e3])
+        ys, kept, _ = m.retract_ray(x, m.TangentVector(x, tangent[0]), ts)
+        assert kept.all()
+        assert np.array_equal(ys, retract(x.ambient, np.multiply.outer(ts, tangent[0]))), man
+        assert np.array_equal(man.weingarten(x, tangent, g), weingarten(x.ambient, tangent, g)), man
+        off = man.point(x.ambient * rng.uniform(0.5, 1.5, size=man.ambient_shape))
+        for pt in (x, off):
+            assert man.violation(pt) == violation(pt.ambient), man

@@ -12,11 +12,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import manisqp as m
 from manisqp import qp
 
-from qp_oracle import oracle_qp, random_qp
+from qp_oracle import oracle_qp, random_qp, reference_saddle
+
+
+def _saddle(h, ae, r1, r2):
+    ld = np.longdouble
+    return qp._solve_saddle(h, ae, r1, r2, h.astype(ld), ae.astype(ld), r1.astype(ld), r2.astype(ld))
 
 
 def test_modify_hessian_hand_example():
@@ -153,10 +159,10 @@ def test_saddle_solve_without_rows_solves_with_h():
     for w in ([1e-5, 0.1, 1.0, 2.0, 30.0], [-2.0, -1e-3, 0.5, 1.0, 4.0]):
         h = (q * w) @ q.T
         h = (h + h.T) / 2.0
-        x, lam = qp._solve_saddle(h, np.zeros((0, 5)), r1, np.zeros(0))
+        x, lam = _saddle(h, np.zeros((0, 5)), r1, np.zeros(0))
         assert lam.shape == (0,)
         assert np.max(np.abs(h @ x - r1)) < 1e-10 * np.linalg.norm(x)
-    x, lam = qp._solve_saddle(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+    x, lam = _saddle(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), np.zeros(0))
     assert x.shape == lam.shape == (0,)
 
 
@@ -242,24 +248,29 @@ def test_solve_qp_matches_oracle_on_random_instances():
     assert checked == 200
 
 
-def test_equality_path_certifies_huge_floored_steps():
-    # rotated spectrum (1e-8, 1): the unconstrained minimizer has norm ~1e8,
-    # where a plain float64 solve-and-check cannot certify anywhere near 1e-8
+def _huge_floored_step_models():
+    # rotated spectrum (1e-8, 1): the unconstrained minimizer has norm ~1e8
     th = np.pi / 6.0
     q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     h = q @ np.diag([1e-8, 1.0]) @ q.T
     h = (h + h.T) / 2.0
     c = q @ np.array([1.0, 0.3])
+    free = m.QpModel(h, c, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros(0))
+    # same spectrum with one equality constraint pinning a mixed direction
+    pinned = m.QpModel(h, c, np.zeros((0, 2)), np.zeros(0), np.array([[0.3, 1.0]]), np.array([0.7]))
+    return free, pinned
 
-    model = m.QpModel(h, c, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros(0))
-    sol = m.solve_qp(model, 1e-8)
+
+def test_equality_path_certifies_huge_floored_steps():
+    # a plain float64 solve-and-check cannot certify anywhere near 1e-8 at
+    # a step of norm ~1e8
+    free, pinned = _huge_floored_step_models()
+    sol = m.solve_qp(free, 1e-8)
     assert sol.status == "optimal"
     assert np.linalg.norm(sol.d) > 1e7
     assert sol.kkt_error <= 1e-8
 
-    # same spectrum with one equality constraint pinning a mixed direction
-    model = m.QpModel(h, c, np.zeros((0, 2)), np.zeros(0), np.array([[0.3, 1.0]]), np.array([0.7]))
-    sol = m.solve_qp(model, 1e-8)
+    sol = m.solve_qp(pinned, 1e-8)
     assert sol.status == "optimal"
     assert sol.kkt_error <= 1e-8
     assert abs(0.3 * sol.d[0] + sol.d[1] - 0.7) < 1e-8
@@ -485,3 +496,113 @@ def test_degenerate_models_emit_no_runtime_warning():
         warnings.simplefilter("error", RuntimeWarning)
         for model in _degenerate_models():
             assert m.solve_qp(model, 1e-10).status in ("optimal", "infeasible", "max_iter")
+
+
+def _equality_only(model):
+    return m.QpModel(model.H, model.c, np.zeros((0, model.c.size)), np.zeros(0), model.A_eq, model.b_eq)
+
+
+def test_saddle_solve_returns_the_cholesky_wrappers_bits(monkeypatch):
+    # LAPACK's dpotrf/dpotrs called directly give what scipy's cho_factor /
+    # cho_solve give, and an indefinite reduced Hessian still takes the
+    # symmetric solve
+    models = [_equality_only(model) for model in _seeded_models()]
+    models += list(_huge_floored_step_models())
+    rng = np.random.default_rng(41)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    indefinite = (q * np.array([-2.0, -1e-3, 0.5, 3.0])) @ q.T
+    indefinite = (indefinite + indefinite.T) / 2.0
+    for rows in (np.zeros((0, 4)), rng.normal(size=(1, 4))):
+        models.append(m.QpModel(indefinite, rng.normal(size=4), np.zeros((0, 4)), np.zeros(0), rows, rng.normal(size=rows.shape[0])))
+    fallback = []
+    solve = scipy.linalg.solve
+
+    def counted(*args, **kwargs):
+        fallback.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(qp.scipy.linalg, "solve", counted)
+    for i, model in enumerate(models):
+        want = reference_saddle(model.H, model.A_eq, -model.c, model.b_eq)
+        got = _saddle(model.H, model.A_eq, -model.c, model.b_eq)
+        assert got[0].tobytes() == want[0].tobytes(), i
+        assert got[1].tobytes() == want[1].tobytes(), i
+        # and the equality route returns that point with its certificate
+        sol = m.solve_qp(model, 1e-8)
+        if sol.status != "infeasible":
+            assert sol.d.tobytes() == got[0].tobytes() and sol.eta.lam.tobytes() == got[1].tobytes(), i
+            assert sol.kkt_error == m.kkt_violation(model, got[0], np.zeros(0), got[1]), i
+    assert fallback  # the indefinite models took the symmetric solve
+
+
+def test_saddle_solve_rejects_nonfinite_data_like_cho_factor():
+    # a nonfinite reduced Hessian, or right-hand side of the reduced
+    # system, raises the ValueError of scipy's check_finite
+    h = np.array([[1.0, 0.0], [0.0, np.inf]])
+    rows = np.zeros((0, 2))
+    for hh, r1 in ((h, np.ones(2)), (np.eye(2), np.array([1.0, np.nan]))):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as want:
+            reference_saddle(hh, rows, r1, np.zeros(0))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as got:
+            _saddle(hh, rows, r1, np.zeros(0))
+        assert str(got.value) == str(want.value) == "array must not contain infs or NaNs"
+    # an overflowing but finite H: the reduced Hessian z^T H z is inf
+    big = np.full((2, 2), 1e308)
+    rows = np.array([[1.0, -1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            reference_saddle(big, rows, np.ones(2), np.zeros(1))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _saddle(big, rows, np.ones(2), np.zeros(1))
+
+
+def test_interior_point_route_drops_dependent_equality_rows(monkeypatch):
+    # a repeated equality row makes every Newton matrix singular; the path
+    # runs on the independent rows and is certified against the whole model
+    model = m.QpModel(np.eye(2), np.ones(2), [[1.0, 0.0]], [1.0], [[0.0, 1.0], [0.0, 1.0]], [0.5, 0.5])
+    sol = m.solve_qp(model, 1e-10)
+    assert sol.status == "optimal"
+    assert np.max(np.abs(sol.d - [-1.0, 0.5])) < 1e-9
+    assert sol.eta.lam.shape == (2,) and sol.eta.lam[1] == 0.0
+    assert abs(sol.eta.lam[0] + 1.5) < 1e-9
+    assert sol.kkt_error == m.kkt_violation(model, sol.d, sol.eta.mu, sol.eta.lam) <= 1e-10
+
+    # random models with a scaled copy of one of their equality rows: when
+    # LU meets the singular Newton matrix, the answer is the oracle's for
+    # the model without the copy
+    singular = []
+    factor = qp.dgetrf
+
+    def recorded(a, overwrite_a=False):
+        out = factor(a, overwrite_a=overwrite_a)
+        singular.append(out[2] > 0)
+        return out
+
+    monkeypatch.setattr(qp, "dgetrf", recorded)
+    rng = np.random.default_rng(43)
+    checked = 0
+    for _ in range(60):
+        h, c, ai, bi, ae, be = random_qp(rng, d_max=6, m_max=4, n_max=2)
+        if not ai.shape[0] or not ae.shape[0] or ae.shape[0] == c.size:
+            continue
+        j = rng.integers(ae.shape[0])
+        f = rng.choice([2.0, -1.0, 0.5, 1.0])
+        model = m.QpModel(h, c, ai, bi, np.vstack([ae, f * ae[j]]), np.append(be, f * be[j]))
+        singular.clear()
+        sol = m.solve_qp(model, 1e-10)
+        if not any(singular):
+            continue  # rounding kept every pivot nonzero
+        ref = oracle_qp(h, c, ai, bi, ae, be)
+        assert sol.status == "optimal", checked
+        assert sol.eta.lam[-1] == 0.0, checked
+        assert np.max(np.abs(sol.d - ref[0])) < 1e-6, checked
+        assert sol.kkt_error == m.kkt_violation(model, sol.d, sol.eta.mu, sol.eta.lam) <= 1e-10
+        checked += 1
+    assert checked >= 15
+
+
+def test_interior_point_route_decides_inconsistent_dependent_rows_infeasible():
+    model = m.QpModel(np.eye(2), np.ones(2), [[1.0, 0.0]], [1.0], [[0.0, 1.0], [0.0, 1.0]], [0.5, 0.7])
+    sol = m.solve_qp(model, 1e-10)
+    assert sol.status == "infeasible"
+    assert sol.eta.lam.shape == (2,)
