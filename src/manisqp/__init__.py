@@ -13,6 +13,7 @@ from .manifolds import (
     inner,
     orthonormal_basis,
     project_tangent,
+    qr_basis,
     random_point,
     retract,
     retract_ray,

@@ -12,9 +12,15 @@ space and carrying the metric induced by the ambient inner product:
   factored triple (U, sigma, V) with U, V column-orthonormal and sigma > 0.
 
 Tangent vectors are stored in the ambient shape for every manifold,
-including FixedRank.  That keeps inner products, the QR-drawn tangent basis
+including FixedRank.  That keeps inner products, the dense tangent basis
 and basis coordinate arithmetic uniform across manifolds at the matrix
 sizes this package targets.
+
+Each manifold builds its own seeded orthonormal tangent basis
+(``Manifold.tangent_basis``).  Oblique and Sphere take, row by row, the
+Householder completion of the row to an orthonormal basis of R^s, turned by
+a random orthogonal factor per row; Euclidean and FixedRank QR-factor
+projected Gaussian draws (``qr_basis``).
 
 Oblique and Sphere reduce along rows.  A row shorter than 8 entries is
 summed by ``_row_sum`` as column slices added in numpy's own sequential
@@ -44,6 +50,7 @@ __all__ = [
     "retract_ray",
     "exp_map",
     "orthonormal_basis",
+    "qr_basis",
     "random_point",
 ]
 
@@ -215,6 +222,10 @@ class Manifold:
     def exp_array(self, x: ManifoldPoint, a: np.ndarray) -> ManifoldPoint:
         raise NotImplementedError(f"{type(self).__name__} has no exponential map")
 
+    def tangent_basis(self, x: ManifoldPoint, seed) -> "TangentBasis":
+        """An orthonormal basis of T_x, deterministic for a fixed seed: the QR draw."""
+        return qr_basis(x, seed)
+
     def weingarten(self, x: ManifoldPoint, z: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Curvature correction W_x(z, g) entering embedded Hessians.
 
@@ -305,6 +316,38 @@ class Oblique(Manifold):
 
     def weingarten(self, x, z, g):
         return -_row_sum(x.ambient * g) * z
+
+    def tangent_basis(self, x, seed):
+        """Per-row Householder basis, each row's block turned by a seeded rotation.
+
+        For row x_i the reflector H_i = I - 2 v v^T / (v^T v), with
+        v = x_i + sign(x_i1) e_1, maps x_i to -sign(x_i1) e_1, so its columns
+        2..s are s - 1 orthonormal vectors orthogonal to x_i.  They are
+        tangent vectors nonzero in row i only.  Each row's block is multiplied
+        by the Q factor (positive diagonal in R) of a Gaussian
+        (s - 1) x (s - 1) draw, all q drawn as one array from ``seed``; for
+        s = 2 that factor is the draw's sign.
+        """
+        q, s = self.q, self.s
+        k = s - 1
+        out = np.zeros((q, k, q, s))
+        if k:
+            v = x.ambient.reshape(q, s).copy()
+            v[:, 0] += np.copysign(1.0, v[:, 0])
+            # rows e_j - (2 / v^T v) v_j v of H_i, j = 2..s
+            t = (-2.0 / _row_sum(v * v))[:, :, None] * v[:, 1:, None] * v[:, None, :]
+            t[:, :, 1:] += np.eye(k)
+            g = np.random.default_rng(seed).standard_normal((q, k, k))
+            if k == 1:  # a 1 x 1 QR is Q = 1, R = g
+                rot = np.where(g < 0.0, -1.0, 1.0)
+            else:
+                rot, r = np.linalg.qr(g)
+                rot *= np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+            rows = np.arange(q)
+            out[rows, :, rows, :] = rot @ t
+        matrix = out.reshape(q * k, q * s)  # a view: no copy of the dense basis
+        matrix.setflags(write=False)
+        return TangentBasis(x, matrix)
 
     def random_array(self, rng):
         z = rng.standard_normal(self.ambient_shape)
@@ -466,7 +509,17 @@ def random_point(manifold: Manifold, seed) -> ManifoldPoint:
 
 
 def orthonormal_basis(x: ManifoldPoint, seed) -> TangentBasis:
-    """Draw a random orthonormal basis of T_x.
+    """A random orthonormal basis of T_x, deterministic for a fixed seed.
+
+    Built by the manifold (``Manifold.tangent_basis``): on Oblique and
+    Sphere the per-row Householder basis, whose per-row rotation the seed
+    picks; elsewhere the QR draw of ``qr_basis``.
+    """
+    return x.manifold.tangent_basis(x, seed)
+
+
+def qr_basis(x: ManifoldPoint, seed) -> TangentBasis:
+    """Draw a random orthonormal basis of T_x by QR.
 
     ``dim`` Gaussian ambient candidates are projected to the tangent space
     and QR-factored with a positive diagonal in R, which is Gram-Schmidt on

@@ -120,7 +120,10 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
 
     Eigenvectors are preserved; every eigenvalue becomes max(delta, lambda_i).
     A matrix whose smallest eigenvalue is already >= delta is returned
-    unchanged.
+    unchanged.  Coordinates whose rows are zero off the diagonal are floored
+    on the diagonal, and the eigendecomposition covers the rest: in a
+    per-row tangent basis of Oblique, cut's coordinate Hessian is zero off
+    the graph's edges, so every isolated vertex is such a coordinate.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -130,11 +133,25 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
     if H.size and np.max(np.abs(H - H.T)) > SYMMETRY_TOL:
         raise ValueError("H is not symmetric")
     sym = (H + H.T) / 2.0
-    w, q = np.linalg.eigh(sym)
-    if not w.size or w[0] >= delta:
-        return np.array(H)
-    out = (q * np.maximum(w, delta)) @ q.T
-    return (out + out.T) / 2.0
+    diag = np.diagonal(sym)
+    # a coordinate with no off-diagonal entry in its row is an eigenvector of
+    # its own, its diagonal entry the eigenvalue; eigh runs on the others
+    linked = np.count_nonzero(sym, axis=1) > (diag != 0.0)
+    if linked.all():
+        w, q = np.linalg.eigh(sym)
+        if not w.size or w[0] >= delta:
+            return np.array(H)
+        out = (q * np.maximum(w, delta)) @ q.T
+        return (out + out.T) / 2.0
+    floored = not np.all(diag[~linked] >= delta)
+    out = np.diag(np.maximum(diag, delta))
+    if linked.any():
+        block = np.ix_(linked, linked)
+        w, q = np.linalg.eigh(sym[block])
+        floored = floored or not w[0] >= delta
+        sub = (q * np.maximum(w, delta)) @ q.T
+        out[block] = (sub + sub.T) / 2.0
+    return out if floored else np.array(H)
 
 
 def build_subproblem(prob: Problem, x: ManifoldPoint, basis: TangentBasis, h_plus: np.ndarray) -> QpModel:
@@ -387,22 +404,30 @@ def _independent_rows(a: np.ndarray) -> np.ndarray:
     return np.array(keep, dtype=int)
 
 
-def _solve_ipm(model: QpModel, tol: float, rows: np.ndarray | None = None) -> QpSolution:
+def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
     """Interior-point route.
 
-    Linearly dependent equality rows make the Newton matrix singular, at
-    once or after rounding has hidden it for a few iterations; at the first
-    singular factorization the path then starts again on the independent
-    ``rows`` alone, with zero multipliers for the others.  Certificate and
-    phase-1 LP stay the whole model's, so dependent rows that are
-    inconsistent still end "infeasible".
+    Linearly dependent equality rows would make every Newton matrix
+    singular, though rounding can keep each LU pivot nonzero.  When the
+    singular values of A_eq, which the least-squares starting point
+    computes, show a rank below its row count, the path runs on the
+    independent ``rows`` alone, with zero multipliers for the others.
+    Certificate and phase-1 LP stay the whole model's, so dependent rows
+    that are inconsistent still end "infeasible".
     """
     H, c = model.H, model.c
     ai, bi = model.A_ineq, model.b_ineq
     ae, be = model.A_eq, model.b_eq
     d, m, n_model = model.dims
-    if rows is not None:
-        ae, be = ae[rows], be[rows]
+    rows = None
+    if n_model:
+        x, _, _, sv = np.linalg.lstsq(ae, be, rcond=None)
+        if _rank(sv, ae.shape) < n_model:
+            rows = _independent_rows(ae)
+            ae, be = ae[rows], be[rows]
+            x, *_ = np.linalg.lstsq(ae, be, rcond=None)
+    else:
+        x = np.zeros(d)
     n = be.size
 
     def lift(y):
@@ -420,10 +445,6 @@ def _solve_ipm(model: QpModel, tol: float, rows: np.ndarray | None = None) -> Qp
     hopeless = max(INFEASIBILITY_TOL, (m + n_model) * tol)
     phase1 = None
 
-    if n:
-        x, *_ = np.linalg.lstsq(ae, be, rcond=None)
-    else:
-        x = np.zeros(d)
     y = np.zeros(n)
     s = np.maximum(1.0, bi - ai @ x)
     z = np.ones(m)
@@ -465,10 +486,6 @@ def _solve_ipm(model: QpModel, tol: float, rows: np.ndarray | None = None) -> Qp
                     kkt[d:, :d] = ae
                 lu, piv, info = dgetrf(kkt, overwrite_a=True)
                 if info:  # singular: the solves below could only give inf/nan
-                    if n and rows is None:
-                        keep = _independent_rows(ae)
-                        if keep.size < n:
-                            return _solve_ipm(model, tol, keep)
                     break
 
             def newton(rc):

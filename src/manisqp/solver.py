@@ -1,11 +1,13 @@
 """Sequential quadratic optimization on manifolds.
 
-Each iteration draws a random orthonormal tangent basis, builds a convex
-quadratic model of the problem in those coordinates (Lagrangian Hessian
-with its eigenvalues floored, or the identity), solves it for a step and a
-fresh multiplier estimate, ratchets the exact-penalty parameter so the step
-remains a descent direction for the merit function, and backtracks until
-the Armijo condition
+Each iteration draws a random orthonormal tangent basis from the
+iteration seed (the manifold's own construction, ``orthonormal_basis``: on
+Oblique and Sphere the seed picks the rotation of each row's Householder
+block), builds a convex quadratic model of the problem in those coordinates
+(Lagrangian Hessian with its eigenvalues floored, or the identity), solves
+it for a step and a fresh multiplier estimate, ratchets the exact-penalty
+parameter so the step remains a descent direction for the merit function,
+and backtracks until the Armijo condition
 
     gamma * t * <B d, d>  <=  P_rho(x) - P_rho(retract(x, t d))
 

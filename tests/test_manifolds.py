@@ -290,7 +290,7 @@ def test_orthonormal_basis_properties():
             assert np.max(np.abs(p - vec)) < 1e-12
 
 
-def test_orthonormal_basis_is_gram_schmidt_of_the_draws():
+def test_qr_basis_is_gram_schmidt_of_the_draws():
     # B C^T upper triangular with a positive diagonal holds exactly when the
     # rows of B are Gram-Schmidt of the candidate rows of C in draw order
     for man in all_manifolds():
@@ -300,22 +300,102 @@ def test_orthonormal_basis_is_gram_schmidt_of_the_draws():
             cands = np.array(
                 [man.project_array(x, rng.standard_normal(man.ambient_shape)).ravel() for _ in range(man.dim)]
             )
-            r = m.orthonormal_basis(x, seed).matrix @ cands.T
+            r = m.qr_basis(x, seed).matrix @ cands.T
             assert np.max(np.abs(np.tril(r, -1))) <= 1e-10
             assert np.all(np.diag(r) > 0.0)
 
 
-def test_orthonormal_basis_redraws_a_degenerate_block():
+def test_qr_basis_redraws_a_degenerate_block():
     # random_point draws x from the same seed, so the first candidate is x
     # itself, which projects to ~1e-16 and forces a redraw
     for man in (m.Sphere(6), m.Oblique(6, 3)):
         x = m.random_point(man, 1)
-        basis = m.orthonormal_basis(x, 1)
+        basis = m.qr_basis(x, 1)
         gram = basis.matrix @ basis.matrix.T
         assert np.max(np.abs(gram - np.eye(man.dim))) < 1e-12
         for row in basis.matrix:
             vec = row.reshape(man.ambient_shape)
             assert np.max(np.abs(man.project_array(x, vec) - vec)) < 1e-12
+
+
+def _householder_reference(x, seed):
+    # per row: columns 2..s of I - 2 v v^T / (v^T v), v = x_i + sign(x_i1) e_1,
+    # turned by the Q factor (positive diagonal in R) of that row's draw
+    man = x.manifold
+    q, s = man.q, man.s
+    xs = x.ambient.reshape(q, s)
+    draws = np.random.default_rng(seed).standard_normal((q, s - 1, s - 1))
+    out = np.zeros((q, s - 1, q, s))
+    for i in range(q):
+        v = xs[i].copy()
+        v[0] += 1.0 if v[0] >= 0.0 else -1.0
+        h = np.eye(s) - 2.0 * np.outer(v, v) / (v @ v)
+        rot, r = np.linalg.qr(draws[i])
+        out[i, :, i, :] = (rot * np.sign(np.diag(r))) @ h[:, 1:].T
+    return out.reshape(man.dim, q * s)
+
+
+OBLIQUE_FAMILY = [m.Sphere(2), m.Sphere(3), m.Sphere(6), m.Oblique(7, 2), m.Oblique(5, 3), m.Oblique(4, 9)]
+
+
+def test_oblique_basis_is_the_per_row_householder_completion():
+    for man in OBLIQUE_FAMILY:
+        for seed in (201, 202):
+            x = m.random_point(man, seed)
+            basis = m.orthonormal_basis(x, seed + 10)
+            assert basis.matrix.shape == (man.dim, x.ambient.size)
+            assert not basis.matrix.flags.writeable
+            assert np.max(np.abs(basis.matrix - _householder_reference(x, seed + 10))) < 1e-14
+
+
+def test_oblique_basis_is_orthonormal_tangent_and_row_local():
+    for man in OBLIQUE_FAMILY:
+        x = m.random_point(man, 211)
+        basis = m.orthonormal_basis(x, 212)
+        gram = basis.matrix @ basis.matrix.T
+        assert np.max(np.abs(gram - np.eye(man.dim))) <= 1e-14
+        for j, row in enumerate(basis.matrix):
+            vec = row.reshape(man.ambient_shape)
+            assert np.max(np.abs(man.project_array(x, vec) - vec)) <= 1e-14
+            # vector j lives in row j // (s - 1) of the q x s point only
+            support = np.flatnonzero(np.any(row.reshape(man.q, man.s) != 0.0, axis=1))
+            assert support.tolist() == [j // (man.s - 1)]
+
+
+def test_oblique_basis_handles_rows_on_the_axes():
+    # rows +-e_1 and rows with a zero or negative zero first entry
+    man = m.Oblique(5, 3)
+    x = man.point([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.0, 0.0, -1.0], [0.0, 0.6, 0.8]])
+    basis = m.orthonormal_basis(x, 221)
+    assert np.max(np.abs(basis.matrix @ basis.matrix.T - np.eye(man.dim))) <= 1e-14
+    tangent = np.stack([man.project_array(x, r.reshape(5, 3)).ravel() for r in basis.matrix])
+    assert np.max(np.abs(tangent - basis.matrix)) <= 1e-14
+
+
+def test_oblique_basis_is_seeded():
+    x = m.random_point(m.Sphere(3), 21)
+    b0 = m.orthonormal_basis(x, m.iteration_seed(7, 0))
+    assert np.array_equal(b0.matrix, m.orthonormal_basis(x, m.iteration_seed(7, 0)).matrix)
+    # the seed picks a rotation in O(2), not only signs: every iteration differs
+    mats = [m.orthonormal_basis(x, m.iteration_seed(7, k)).matrix for k in range(20)]
+    assert all(not np.array_equal(a, b) for i, a in enumerate(mats) for b in mats[i + 1 :])
+    y = m.random_point(m.Oblique(6, 2), 22)
+    signs = {m.orthonormal_basis(y, seed).matrix.tobytes() for seed in range(12)}
+    assert len(signs) > 1
+
+
+def test_oblique_basis_of_a_zero_dimensional_tangent_space():
+    man = m.Oblique(3, 1)
+    x = m.random_point(man, 231)
+    basis = m.orthonormal_basis(x, 232)
+    assert basis.matrix.shape == (0, 3)
+    assert basis.from_coords(np.zeros(0)).data.shape == (3, 1)
+
+
+def test_qr_basis_is_kept_for_euclidean_and_fixed_rank():
+    for man in (m.Euclidean(5), m.FixedRank(5, 4, 2)):
+        x = m.random_point(man, 241)
+        assert np.array_equal(m.orthonormal_basis(x, 242).matrix, m.qr_basis(x, 242).matrix)
 
 
 def test_orthonormal_basis_determinism():

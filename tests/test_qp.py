@@ -84,6 +84,54 @@ def test_modify_hessian_idempotent_and_norm_bounded():
         assert norm_out <= max(delta, norm_in) * (1.0 + 1e-12)
 
 
+def _full_floor(h, delta):
+    # the eigenvalue floor by one eigendecomposition of the whole matrix
+    w, q = np.linalg.eigh((h + h.T) / 2.0)
+    out = (q * np.maximum(w, delta)) @ q.T
+    return (out + out.T) / 2.0
+
+
+def test_modify_hessian_of_a_coupled_matrix_is_one_eigendecomposition():
+    rng = np.random.default_rng(3)
+    for trial in range(40):
+        d = int(rng.integers(1, 30))
+        a = rng.normal(size=(d, d))
+        h = (a + a.T) / 2.0
+        assert np.array_equal(m.modify_hessian(h, 0.5), _full_floor(h, 0.5))
+
+
+def test_modify_hessian_floors_uncoupled_coordinates_on_the_diagonal():
+    # rows that are zero off the diagonal, as for the isolated vertices of a
+    # cut instance in the per-row Oblique basis
+    rng = np.random.default_rng(4)
+    for trial in range(40):
+        d = int(rng.integers(1, 30))
+        a = rng.normal(size=(d, d))
+        h = (a + a.T) / 2.0
+        lone = rng.random(d) < 0.5
+        h[lone, :] = 0.0
+        h[:, lone] = 0.0
+        h[lone, lone] = rng.normal(size=lone.sum()) * rng.choice([0.0, 1.0], size=lone.sum())
+        delta = float(rng.choice([1e-8, 1e-4, 0.5]))
+        out = m.modify_hessian(h, delta)
+        assert np.max(np.abs(out - _full_floor(h, delta))) <= 1e-12 * (1.0 + np.max(np.abs(h)))
+        assert np.array_equal(out[lone][:, lone], np.diag(np.maximum(np.diag(h)[lone], delta)))
+        assert not np.any(out[lone][:, ~lone]) and not np.any(out[~lone][:, lone])
+        assert np.array_equal(out, out.T)
+    # definite: returned unchanged
+    h = np.diag([2.0, 3.0, 1.0])
+    h[0, 1] = h[1, 0] = 0.5
+    assert np.array_equal(m.modify_hessian(h, 1e-6), h)
+    # a diagonal coordinate below the floor alone triggers the floor
+    h[2, 2] = -1.0
+    out = m.modify_hessian(h, 1e-6)
+    assert out[2, 2] == 1e-6 and np.max(np.abs(out[:2, :2] - h[:2, :2])) < 1e-14
+    # and so does the coupled block alone
+    h = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    out = m.modify_hessian(h, 1e-6)
+    assert out[0, 0] == 2.0 and np.max(np.abs(out - _full_floor(h, 1e-6))) < 1e-14
+
+
 def test_build_subproblem_unconstrained_euclidean_canonical():
     man = m.Euclidean(2)
     obj = m.SmoothFunction(
@@ -556,9 +604,32 @@ def test_saddle_solve_rejects_nonfinite_data_like_cho_factor():
             _saddle(big, rows, np.ones(2), np.zeros(1))
 
 
+def _dependent_row_models(draws):
+    """Random models from the first ``draws`` draws of a seeded stream, each with
+    a scaled copy of one of its equality rows; yields (draw, model, oracle)."""
+    rng = np.random.default_rng(43)
+    for draw in range(draws):
+        h, c, ai, bi, ae, be = random_qp(rng, d_max=6, m_max=4, n_max=2)
+        if not ai.shape[0] or not ae.shape[0] or ae.shape[0] == c.size:
+            continue
+        j = rng.integers(ae.shape[0])
+        f = rng.choice([2.0, -1.0, 0.5, 1.0])
+        model = m.QpModel(h, c, ai, bi, np.vstack([ae, f * ae[j]]), np.append(be, f * be[j]))
+        yield draw, model, (h, c, ai, bi, ae, be)
+
+
+def _check_dependent_row_solution(model, original, label):
+    sol = m.solve_qp(model, 1e-10)
+    ref = oracle_qp(*original)
+    assert sol.status == "optimal", label
+    assert sol.eta.lam[-1] == 0.0, label
+    assert np.max(np.abs(sol.d - ref[0])) < 1e-6, label
+    assert sol.kkt_error == m.kkt_violation(model, sol.d, sol.eta.mu, sol.eta.lam) <= 1e-10
+
+
 def test_interior_point_route_drops_dependent_equality_rows(monkeypatch):
-    # a repeated equality row makes every Newton matrix singular; the path
-    # runs on the independent rows and is certified against the whole model
+    # a repeated equality row would make every Newton matrix singular; the
+    # path runs on the independent rows and is certified against the whole model
     model = m.QpModel(np.eye(2), np.ones(2), [[1.0, 0.0]], [1.0], [[0.0, 1.0], [0.0, 1.0]], [0.5, 0.5])
     sol = m.solve_qp(model, 1e-10)
     assert sol.status == "optimal"
@@ -567,9 +638,9 @@ def test_interior_point_route_drops_dependent_equality_rows(monkeypatch):
     assert abs(sol.eta.lam[0] + 1.5) < 1e-9
     assert sol.kkt_error == m.kkt_violation(model, sol.d, sol.eta.mu, sol.eta.lam) <= 1e-10
 
-    # random models with a scaled copy of one of their equality rows: when
-    # LU meets the singular Newton matrix, the answer is the oracle's for
-    # the model without the copy
+    # random models with a scaled copy of one of their equality rows: the
+    # rows are dropped before the first factorization, which is then never
+    # singular, and the answer is the oracle's for the model without the copy
     singular = []
     factor = qp.dgetrf
 
@@ -579,26 +650,22 @@ def test_interior_point_route_drops_dependent_equality_rows(monkeypatch):
         return out
 
     monkeypatch.setattr(qp, "dgetrf", recorded)
-    rng = np.random.default_rng(43)
     checked = 0
-    for _ in range(60):
-        h, c, ai, bi, ae, be = random_qp(rng, d_max=6, m_max=4, n_max=2)
-        if not ai.shape[0] or not ae.shape[0] or ae.shape[0] == c.size:
-            continue
-        j = rng.integers(ae.shape[0])
-        f = rng.choice([2.0, -1.0, 0.5, 1.0])
-        model = m.QpModel(h, c, ai, bi, np.vstack([ae, f * ae[j]]), np.append(be, f * be[j]))
+    for draw, model, original in _dependent_row_models(60):
         singular.clear()
-        sol = m.solve_qp(model, 1e-10)
-        if not any(singular):
-            continue  # rounding kept every pivot nonzero
-        ref = oracle_qp(h, c, ai, bi, ae, be)
-        assert sol.status == "optimal", checked
-        assert sol.eta.lam[-1] == 0.0, checked
-        assert np.max(np.abs(sol.d - ref[0])) < 1e-6, checked
-        assert sol.kkt_error == m.kkt_violation(model, sol.d, sol.eta.mu, sol.eta.lam) <= 1e-10
+        _check_dependent_row_solution(model, original, draw)
+        assert singular and not any(singular), draw
         checked += 1
     assert checked >= 15
+
+
+def test_dependent_equality_rows_are_found_without_a_zero_pivot():
+    # in these two models rounding keeps every LU pivot of the Newton matrix
+    # nonzero (they fell to 1e-35 and 1e-39), so a restart triggered by a
+    # singular factorization never came and both ended max_iter
+    models = {draw: (model, original) for draw, model, original in _dependent_row_models(278)}
+    for draw in (262, 277):
+        _check_dependent_row_solution(*models[draw], draw)
 
 
 def test_interior_point_route_decides_inconsistent_dependent_rows_infeasible():

@@ -224,7 +224,7 @@ def test_cli_solve_cut_seed_that_stalled_at_the_cli_only_floor():
 def test_cli_solve_prints_the_stall_reason(capsys):
     rc = main(
         ["solve", "--problem", "balanced_cut", "--q", "30", "--s", "2",
-         "--density", "0.1", "--seed", "16", "--delta", "1e-8", "--qp-tol", "1e-8"]
+         "--density", "0.1", "--seed", "64", "--delta", "1e-8", "--qp-tol", "1e-8"]
     )
     assert rc == 12
     out = capsys.readouterr().out

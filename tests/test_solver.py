@@ -170,6 +170,60 @@ def test_iteration_seed_changes_per_iteration():
     assert not np.array_equal(b0.matrix, b1.matrix)
 
 
+def _oblique_problem(seed):
+    """A random quadratic on Oblique(4, 3) with two inequalities and two equalities."""
+    rng = np.random.default_rng(seed)
+    man = m.Oblique(4, 3)
+    a = rng.normal(size=(12, 12))
+    a = a + a.T
+    c = rng.normal(size=12)
+    w = rng.normal(size=(12, 12))
+    w = w @ w.T / 12
+
+    def fn(value, grad, hess):
+        return m.SmoothFunction(
+            value=lambda x: float(value(x.ravel())),
+            gradient=lambda x: grad(x.ravel()).reshape(4, 3),
+            hess_vec=lambda x, v: hess(v.ravel()).reshape(4, 3),
+        )
+
+    def linear(g, b):
+        return fn(lambda x: g @ x - b, lambda x: g.copy(), lambda v: np.zeros(12))
+
+    obj = fn(lambda x: 0.5 * x @ a @ x + c @ x, lambda x: a @ x + c, lambda v: a @ v)
+    ball = fn(lambda x: x @ w @ x - 1.0, lambda x: 2.0 * w @ x, lambda v: 2.0 * w @ v)
+    ineq = (linear(rng.normal(size=12), 0.5), ball)
+    eq = (linear(rng.normal(size=12), 0.1), linear(rng.normal(size=12), -0.2))
+    eta = m.Multipliers(rng.random(2), rng.normal(size=2))
+    return m.Problem(man, obj, ineq, eq), m.random_point(man, seed + 1), eta
+
+
+def test_subproblem_does_not_depend_on_the_tangent_basis():
+    # modify_hessian is orthogonally equivariant, so the QR and the per-row
+    # Householder bases give one ambient step, multipliers and <B d, d> up to
+    # rounding, on the interior-point route as on the equality route
+    def subproblem(prob, x, eta, basis, delta, tol):
+        b = m.modify_hessian(m.lagrangian_hessian_matrix(prob, x, eta, basis), delta)
+        sol = m.solve_qp(m.build_subproblem(prob, x, basis, b), tol)
+        assert sol.status == "optimal"
+        return basis.from_coords(sol.d).data, sol.eta.mu, sol.eta.lam, np.array([sol.d @ b @ sol.d])
+
+    tilt, _, _ = sphere_tilt()
+    cases = []
+    for seed in range(3):
+        inst = m.gen_balanced_cut(50, 2, 0.01, seed=seed)
+        cases.append((m.cut_problem(inst), m.random_cut_start(inst), m.Multipliers.zeros(0, 2), 1e-4, 1e-8))
+        cases.append((tilt, m.random_point(tilt.manifold, seed), m.Multipliers.zeros(0, 1), 1e-5, 1e-10))
+        cases.append((*_oblique_problem(seed), 1e-2, 1e-10))
+    for prob, x, eta, delta, tol in cases:
+        for seed in (3, 4):
+            qr = subproblem(prob, x, eta, m.qr_basis(x, seed), delta, tol)
+            rows = subproblem(prob, x, eta, m.orthonormal_basis(x, seed), delta, tol)
+            for a, b in zip(qr, rows):
+                if b.size:
+                    assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b)), prob.name
+
+
 def test_euclidean_toy_converges_in_one_iteration():
     prob = euclidean_toy()
     x0 = prob.manifold.point(np.array([0.0, 0.0]))
@@ -340,7 +394,8 @@ def test_verdict_rank_drop():
 
 def test_verdict_stalled_on_tiny_backtrack_budget():
     prob, _, _ = sphere_tilt()
-    x0 = prob.manifold.point(np.array([0.6, 0.0, 0.8]))  # far side
+    # far side, off the symmetry plane x[1] = 0 that holds the maximizer
+    x0 = prob.manifold.point(np.array([0.48, 0.36, 0.8]))
     cfg = m.SolverConfig(gamma=0.99, max_backtracks=0, residual_tol=1e-14)
     state, trace = m.solve(prob, x0, cfg=cfg)
     assert trace.verdict == "stalled"
@@ -350,9 +405,9 @@ def test_verdict_stalled_on_tiny_backtrack_budget():
 def test_stall_reason_for_uncertified_cut_subproblem():
     # the floor delta=1e-8 admits steps of norm ~1e8 whose subproblem
     # certificate misses qp_tol=1e-8 before the first step is taken
-    inst = m.gen_balanced_cut(30, 2, 0.1, seed=16)
+    inst = m.gen_balanced_cut(30, 2, 0.1, seed=64)
     prob = m.cut_problem(inst)
-    cfg = m.SolverConfig(delta=1e-8, qp_tol=1e-8, seed=16)
+    cfg = m.SolverConfig(delta=1e-8, qp_tol=1e-8, seed=64)
     _, trace = m.solve(prob, m.random_cut_start(inst), cfg=cfg)
     assert trace.verdict == "stalled"
     assert trace.records == []
