@@ -120,10 +120,7 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
 
     Eigenvectors are preserved; every eigenvalue becomes max(delta, lambda_i).
     A matrix whose smallest eigenvalue is already >= delta is returned
-    unchanged.  Coordinates whose rows are zero off the diagonal are floored
-    on the diagonal, and the eigendecomposition covers the rest: in a
-    per-row tangent basis of Oblique, cut's coordinate Hessian is zero off
-    the graph's edges, so every isolated vertex is such a coordinate.
+    unchanged.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -133,25 +130,11 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
     if H.size and np.max(np.abs(H - H.T)) > SYMMETRY_TOL:
         raise ValueError("H is not symmetric")
     sym = (H + H.T) / 2.0
-    diag = np.diagonal(sym)
-    # a coordinate with no off-diagonal entry in its row is an eigenvector of
-    # its own, its diagonal entry the eigenvalue; eigh runs on the others
-    linked = np.count_nonzero(sym, axis=1) > (diag != 0.0)
-    if linked.all():
-        w, q = np.linalg.eigh(sym)
-        if not w.size or w[0] >= delta:
-            return np.array(H)
-        out = (q * np.maximum(w, delta)) @ q.T
-        return (out + out.T) / 2.0
-    floored = not np.all(diag[~linked] >= delta)
-    out = np.diag(np.maximum(diag, delta))
-    if linked.any():
-        block = np.ix_(linked, linked)
-        w, q = np.linalg.eigh(sym[block])
-        floored = floored or not w[0] >= delta
-        sub = (q * np.maximum(w, delta)) @ q.T
-        out[block] = (sub + sub.T) / 2.0
-    return out if floored else np.array(H)
+    w, q = np.linalg.eigh(sym)
+    if not w.size or w[0] >= delta:
+        return np.array(H)
+    out = (q * np.maximum(w, delta)) @ q.T
+    return (out + out.T) / 2.0
 
 
 def build_subproblem(prob: Problem, x: ManifoldPoint, basis: TangentBasis, h_plus: np.ndarray) -> QpModel:

@@ -84,54 +84,6 @@ def test_modify_hessian_idempotent_and_norm_bounded():
         assert norm_out <= max(delta, norm_in) * (1.0 + 1e-12)
 
 
-def _full_floor(h, delta):
-    # the eigenvalue floor by one eigendecomposition of the whole matrix
-    w, q = np.linalg.eigh((h + h.T) / 2.0)
-    out = (q * np.maximum(w, delta)) @ q.T
-    return (out + out.T) / 2.0
-
-
-def test_modify_hessian_of_a_coupled_matrix_is_one_eigendecomposition():
-    rng = np.random.default_rng(3)
-    for trial in range(40):
-        d = int(rng.integers(1, 30))
-        a = rng.normal(size=(d, d))
-        h = (a + a.T) / 2.0
-        assert np.array_equal(m.modify_hessian(h, 0.5), _full_floor(h, 0.5))
-
-
-def test_modify_hessian_floors_uncoupled_coordinates_on_the_diagonal():
-    # rows that are zero off the diagonal, as for the isolated vertices of a
-    # cut instance in the per-row Oblique basis
-    rng = np.random.default_rng(4)
-    for trial in range(40):
-        d = int(rng.integers(1, 30))
-        a = rng.normal(size=(d, d))
-        h = (a + a.T) / 2.0
-        lone = rng.random(d) < 0.5
-        h[lone, :] = 0.0
-        h[:, lone] = 0.0
-        h[lone, lone] = rng.normal(size=lone.sum()) * rng.choice([0.0, 1.0], size=lone.sum())
-        delta = float(rng.choice([1e-8, 1e-4, 0.5]))
-        out = m.modify_hessian(h, delta)
-        assert np.max(np.abs(out - _full_floor(h, delta))) <= 1e-12 * (1.0 + np.max(np.abs(h)))
-        assert np.array_equal(out[lone][:, lone], np.diag(np.maximum(np.diag(h)[lone], delta)))
-        assert not np.any(out[lone][:, ~lone]) and not np.any(out[~lone][:, lone])
-        assert np.array_equal(out, out.T)
-    # definite: returned unchanged
-    h = np.diag([2.0, 3.0, 1.0])
-    h[0, 1] = h[1, 0] = 0.5
-    assert np.array_equal(m.modify_hessian(h, 1e-6), h)
-    # a diagonal coordinate below the floor alone triggers the floor
-    h[2, 2] = -1.0
-    out = m.modify_hessian(h, 1e-6)
-    assert out[2, 2] == 1e-6 and np.max(np.abs(out[:2, :2] - h[:2, :2])) < 1e-14
-    # and so does the coupled block alone
-    h = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    out = m.modify_hessian(h, 1e-6)
-    assert out[0, 0] == 2.0 and np.max(np.abs(out - _full_floor(h, 1e-6))) < 1e-14
-
-
 def test_build_subproblem_unconstrained_euclidean_canonical():
     man = m.Euclidean(2)
     obj = m.SmoothFunction(
