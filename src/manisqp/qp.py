@@ -9,11 +9,17 @@ with H symmetric positive definite.  ``solve_qp`` certifies its answer
 against the KKT conditions of this model and never reports "optimal"
 without the certificate holding to the requested tolerance.
 
-Two routes are used internally: problems without inequality rows reduce to
-a single saddle-point solve (null-space method with extended-precision
-refinement, the reduced Hessian factored by LAPACK's Cholesky routines),
-everything else goes through a Mehrotra-style predictor-corrector interior
-point iteration on the slack form.  An interior-point iterate gets the
+One SVD of A_eq per model gives its rank, the minimum-norm solution x_p of
+A_eq d = b_eq, a null-space basis Z and the minimum-norm multipliers of any
+stationarity residual.  Inconsistent equality rows (x_p missing b_eq by more
+than ``INFEASIBILITY_TOL``) end "infeasible" at once; dependent consistent
+rows need no special case on either route, and get the minimum-norm
+multipliers.  Two routes then use that factorization: problems without
+inequality rows reduce to a single saddle-point solve (null-space method
+with extended-precision refinement, the reduced Hessian factored by LAPACK's
+Cholesky routines), everything else goes through a Mehrotra-style
+predictor-corrector interior point iteration on the slack form, run on w
+with d = x_p + Z w.  An interior-point iterate gets the
 extended-precision certificate only when a float64 lower bound on its KKT
 violation (``_rules_out``) cannot show that it misses tol; the iterates it
 skips are evaluated if the path ends uncertified, so the returned point is
@@ -28,6 +34,7 @@ path at once, because no point of the model could then be certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -57,7 +64,8 @@ MU_CLAMP = 1e-10
 _IPM_MAX_ITER = 100
 # Uncertified interior-point iterations after which the phase-1 LP runs
 # at the latest and an infeasible model is decided.  Certified subproblems
-# of the completion workloads (4x8, 5x10) take at most 20 iterations.
+# of the completion workloads took at most 22 iterations (4x8, first 300
+# feasibility phases) and 17 (5x10, first 16 solves), at workload seed 11.
 _IPM_PHASE1_ITER = 25
 
 
@@ -103,9 +111,9 @@ class QpSolution:
     ``d`` and ``eta`` are the certified point when ``status`` is "optimal",
     otherwise the iterate with the smallest KKT violation ``kkt_error``.
     ``iterations`` counts the iterations run: interior-point iterates
-    examined, or 1 for a saddle-point solve (0 when its equality rows are
-    inconsistent).  For a certified answer it is also the index of the
-    returned iterate.
+    examined, or 1 for a saddle-point solve; it is 0 on either route when
+    the equality rows are inconsistent.  For a certified answer it is also
+    the index of the returned iterate.
     """
 
     d: np.ndarray
@@ -125,8 +133,8 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("H must be a square matrix")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:  # written so that NaN is rejected too
+        raise ValueError("delta must be positive and finite")
     if H.size and np.max(np.abs(H - H.T)) > SYMMETRY_TOL:
         raise ValueError("H is not symmetric")
     sym = (H + H.T) / 2.0
@@ -230,18 +238,46 @@ def _rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
     return int(np.sum(sv > max(shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)))
 
 
+class _RowFactor(NamedTuple):
+    """The SVD of A_eq cut at its ``_rank``: A_eq = u diag(sv) v^T.
+
+    ``z`` is an orthonormal basis of the null space of A_eq; with no rows
+    it is the identity.
+    """
+
+    u: np.ndarray  # (n, rank)
+    sv: np.ndarray  # (rank,)
+    v: np.ndarray  # (d, rank)
+    z: np.ndarray  # (d, d - rank)
+
+    def solution(self, r: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares x of A_eq x = r."""
+        return self.v @ ((self.u.T @ r) / self.sv)
+
+    def multipliers(self, r: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares y of A_eq^T y = r."""
+        return self.u @ ((self.v.T @ r) / self.sv)
+
+
+def _factor_rows(a: np.ndarray) -> _RowFactor:
+    u, sv, vt = np.linalg.svd(a, full_matrices=True)
+    rank = _rank(sv, a.shape)
+    return _RowFactor(u[:, :rank], sv[:rank], vt[:rank].T, vt[rank:].T)
+
+
 def _check_finite(a: np.ndarray) -> None:
     # scipy.linalg's check_finite, which cho_factor and cho_solve applied
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _solve_saddle(H, Ae, r1, r2, hl, al, r1l, r2l):
-    """Solve [[H, Ae^T], [Ae, 0]] (x, y) = (r1, r2) by the null-space method.
+def _solve_saddle(H, eq: _RowFactor, r1, r2, hl, al, r1l, r2l):
+    """Solve [[H, A_eq^T], [A_eq, 0]] (x, y) = (r1, r2) by the null-space method.
 
-    Returns (x, y).  ``hl``, ``al``, ``r1l`` and ``r2l`` are the four inputs
-    in extended precision.  Uses the SVD of Ae, so rank-deficient consistent
-    rows are tolerated.  The backward error is polished by iterative
+    Returns (x, y).  ``eq`` is the ``_RowFactor`` of A_eq, and ``hl``,
+    ``al``, ``r1l`` and ``r2l`` are H, A_eq, r1 and r2 in extended
+    precision.  Rank-deficient consistent rows are tolerated and get the
+    minimum-norm y.  The backward error is polished by iterative
     refinement with extended-precision residuals: when H carries floored
     eigenvalues near delta, the solution norm scales like 1/delta and a
     single float64 pass would leave the residual orders above the attainable
@@ -250,13 +286,8 @@ def _solve_saddle(H, Ae, r1, r2, hl, al, r1l, r2l):
     their finiteness checks; an indefinite one is solved symmetrically.
     """
     d = r1.size
-    n = Ae.shape[0]
-    # with no rows the SVD has rank 0 and the identity as null-space basis
-    u, sv, vt = np.linalg.svd(Ae, full_matrices=True)
-    rank = _rank(sv, Ae.shape)
-    ur = u[:, :rank]
-    vr = vt[:rank].T
-    z = vt[rank:].T  # null-space basis of Ae, shape (d, d - rank)
+    n = eq.u.shape[0]
+    z = eq.z
     if z.shape[1]:
         red = z.T @ H @ z
         _check_finite(red)
@@ -269,14 +300,11 @@ def _solve_saddle(H, Ae, r1, r2, hl, al, r1l, r2l):
                 _check_finite(rhs)
                 return dpotrs(red_cf, rhs, lower=False)[0]
 
-    svr = sv[:rank]
-
     def direct(r1_, r2_):
-        x = vr @ ((ur.T @ r2_) / svr)
+        x = eq.solution(r2_)
         if z.shape[1]:
             x = x + z @ solve_red(z.T @ (r1_ - H @ x))
-        lam = ur @ ((vr.T @ (r1_ - H @ x)) / svr)
-        return x, lam
+        return x, eq.multipliers(r1_ - H @ x)
 
     ld = np.longdouble
     x, lam = direct(r1, r2)
@@ -301,23 +329,11 @@ def _solve_saddle(H, Ae, r1, r2, hl, al, r1l, r2l):
     return best[1], best[2]
 
 
-def _solve_equality_qp(model: QpModel, tol: float) -> QpSolution:
-    d, m, n = model.dims
-    if n:
-        # inconsistent equality rows mean there is nothing to optimize over
-        x0, *_ = np.linalg.lstsq(model.A_eq, model.b_eq, rcond=None)
-        if np.max(np.abs(model.A_eq @ x0 - model.b_eq)) > INFEASIBILITY_TOL:
-            return QpSolution(
-                d=np.zeros(d),
-                eta=Multipliers.zeros(m, n),
-                kkt_error=float("inf"),
-                status="infeasible",
-                iterations=0,
-            )
+def _solve_equality_qp(model: QpModel, tol: float, eq: _RowFactor) -> QpSolution:
     # one extended-precision cast serves the refinement and the certificate
     ext = _extended(model)
     hl, cl, _, _, al, bl = ext
-    x, lam = _solve_saddle(model.H, model.A_eq, -model.c, model.b_eq, hl, al, -cl, bl)
+    x, lam = _solve_saddle(model.H, eq, -model.c, model.b_eq, hl, al, -cl, bl)
     err = _kkt_error(ext, x, np.zeros(0), lam)
     status = "optimal" if err <= tol else "max_iter"
     return QpSolution(d=x, eta=Multipliers(np.zeros(0), lam), kkt_error=err, status=status, iterations=1)
@@ -377,58 +393,34 @@ def _phase1_due(it: int, gap: float, gap_first: float) -> bool:
     return gap > gap_first or it == _IPM_PHASE1_ITER
 
 
-def _independent_rows(a: np.ndarray) -> np.ndarray:
-    """Indices of the rows of a, in order, that each raise the ``_rank`` of the rows kept before them."""
-    keep = []
-    for j in range(a.shape[0]):
-        rows = a[keep + [j]]
-        if _rank(np.linalg.svd(rows, compute_uv=False), rows.shape) > len(keep):
-            keep.append(j)
-    return np.array(keep, dtype=int)
+def _solve_ipm(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> QpSolution:
+    """Interior-point route, in the null space of A_eq.
 
-
-def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
-    """Interior-point route.
-
-    Linearly dependent equality rows would make every Newton matrix
-    singular, though rounding can keep each LU pivot nonzero.  When the
-    singular values of A_eq, which the least-squares starting point
-    computes, show a rank below its row count, the path runs on the
-    independent ``rows`` alone, with zero multipliers for the others.
-    Certificate and phase-1 LP stay the whole model's, so dependent rows
-    that are inconsistent still end "infeasible".
+    The path runs on w, with x = xp + Z w for the minimum-norm solution xp
+    of A_eq x = b_eq and the null-space basis Z of ``eq``; its Newton matrix
+    Z^T (H + A_ineq^T D A_ineq) Z has order d - rank, so dependent equality
+    rows need no special case.  Each iterate's y is the least-squares
+    multiplier that minimizes its stationarity residual.  With rank 0, Z is
+    the identity and is not applied.  Certificate, screen and phase-1 LP
+    are the whole model's.
     """
     H, c = model.H, model.c
     ai, bi = model.A_ineq, model.b_ineq
-    ae, be = model.A_eq, model.b_eq
-    d, m, n_model = model.dims
-    rows = None
-    if n_model:
-        x, _, _, sv = np.linalg.lstsq(ae, be, rcond=None)
-        if _rank(sv, ae.shape) < n_model:
-            rows = _independent_rows(ae)
-            ae, be = ae[rows], be[rows]
-            x, *_ = np.linalg.lstsq(ae, be, rcond=None)
-    else:
-        x = np.zeros(d)
-    n = be.size
-
-    def lift(y):
-        # the path's equality multipliers as the model's
-        if rows is None:
-            return y
-        out = np.zeros(n_model)
-        out[rows] = y
-        return out
+    ae = model.A_eq
+    d, m, n = model.dims
+    zb = eq.z if eq.sv.size else None
+    hr, ar = (H, ai) if zb is None else (zb.T @ H @ zb, ai @ zb)
+    dr = hr.shape[0]
 
     ext = _extended(model)
     screen = _screen(model)
     # the l1 violation of any d is at most (m + n) times its max-norm KKT
     # error, so above this phase-1 value no iterate can be certified
-    hopeless = max(INFEASIBILITY_TOL, (m + n_model) * tol)
+    hopeless = max(INFEASIBILITY_TOL, (m + n) * tol)
     phase1 = None
 
-    y = np.zeros(n)
+    w = np.zeros(dr)
+    x = w if zb is None else xp
     s = np.maximum(1.0, bi - ai @ x)
     z = np.ones(m)
 
@@ -441,13 +433,15 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, _IPM_MAX_ITER + 1):
             ax = ai @ x
-            rd = H @ x + c + ai.T @ z + (ae.T @ y if n else 0.0)
+            g = H @ x + c + ai.T @ z
+            y = eq.multipliers(-g)
+            rd = g + ae.T @ y
             err = None
-            if not _rules_out(screen, tol, x, z, lift(y), rd, ax - bi):
-                err = _kkt_error(ext, x, z, lift(y))
+            if not _rules_out(screen, tol, x, z, y, rd, ax - bi):
+                err = _kkt_error(ext, x, z, y)
                 if err <= tol:
                     mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
-                    return QpSolution(d=x, eta=Multipliers(mu, lift(y)), kkt_error=err, status="optimal", iterations=it)
+                    return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=it)
             iterates.append((err, x, z, y))
             gap = float(z @ s) / m
             if it == 1:
@@ -457,39 +451,29 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
                 if phase1 > hopeless:
                     break
 
-            re = ae @ x - be if n else np.zeros(0)
+            gr = rd if zb is None else zb.T @ g
             ri = ax + s - bi
-
             dd = z / s
-            if d + n:  # LAPACK rejects an empty matrix
-                kkt = np.zeros((d + n, d + n), order="F")
-                kkt[:d, :d] = H + (ai.T * dd) @ ai
-                if n:
-                    kkt[:d, d:] = ae.T
-                    kkt[d:, :d] = ae
-                lu, piv, info = dgetrf(kkt, overwrite_a=True)
+            if dr:  # LAPACK rejects an empty matrix
+                lu, piv, info = dgetrf(np.asfortranarray(hr + (ar.T * dd) @ ar), overwrite_a=True)
                 if info:  # singular: the solves below could only give inf/nan
                     break
 
             def newton(rc):
-                rhs = np.empty(d + n)
-                rhs[:d] = -(rd + ai.T @ (rc / s + dd * ri))
-                if n:
-                    rhs[d:] = -re
-                sol = dgetrs(lu, piv, rhs, overwrite_b=True)[0] if d + n else rhs
-                dx = sol[:d]
-                ds = -ri - ai @ dx
+                rhs = -(gr + ar.T @ (rc / s + dd * ri))
+                dw = dgetrs(lu, piv, rhs, overwrite_b=True)[0] if dr else rhs
+                ds = -ri - ar @ dw
                 dz = (rc - z * ds) / s
-                # a nonfinite z / s, right-hand side or ds makes sol or dz nonfinite
-                if not (np.isfinite(sol).all() and np.isfinite(dz).all()):
+                # a nonfinite z / s, right-hand side or ds makes dw or dz nonfinite
+                if not (np.isfinite(dw).all() and np.isfinite(dz).all()):
                     return None
-                return dx, sol[d:], ds, dz
+                return dw, ds, dz
 
             # predictor
             pred = newton(-z * s)
             if pred is None:
                 break
-            dxa, dya, dsa, dza = pred
+            dwa, dsa, dza = pred
             ap = min(1.0, _max_step(s, dsa))
             ad = min(1.0, _max_step(z, dza))
             gap_aff = float((z + ad * dza) @ (s + ap * dsa)) / m
@@ -500,14 +484,14 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
             corr = newton(rc)
             if corr is None:
                 break
-            dx, dy, ds, dz = corr
+            dw, ds, dz = corr
             ap = min(1.0, 0.99 * _max_step(s, ds))
             ad = min(1.0, 0.99 * _max_step(z, dz))
-            x = x + ap * dx
+            w = w + ap * dw
             s = s + ap * ds
-            y = y + ad * dy
             z = z + ad * dz
-            if not (np.isfinite(x).all() and np.isfinite(s).all() and np.isfinite(z).all() and np.isfinite(y).all()):
+            x = w if zb is None else xp + zb @ w
+            if not (np.isfinite(x).all() and np.isfinite(s).all() and np.isfinite(z).all()):
                 break
             if gap < 1e-18:
                 break
@@ -516,7 +500,7 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
         best = None
         for err, x, z, y in iterates:
             if err is None:
-                err = _kkt_error(ext, x, z, lift(y))
+                err = _kkt_error(ext, x, z, y)
             if best is None or err < best[0]:
                 best = (err, x, z, y)
 
@@ -525,24 +509,34 @@ def _solve_ipm(model: QpModel, tol: float) -> QpSolution:
         phase1 = _phase1_min_violation(model)
     status = "infeasible" if phase1 > INFEASIBILITY_TOL else "max_iter"
     mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
-    return QpSolution(d=x, eta=Multipliers(mu, lift(y)), kkt_error=err, status=status, iterations=it)
+    return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status=status, iterations=it)
 
 
 def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
     """Solve the subproblem and certify the result.
 
     ``status`` is "optimal" only when the KKT violation of the returned
-    point is <= tol.  A run that cannot be certified is classified by the
+    point is <= tol.  Inconsistent equality rows end "infeasible" at once.
+    Otherwise a run that cannot be certified is classified by the
     phase-1 check: "infeasible" when even the most forgiving point violates
     the linearized constraints by more than 1e-8 in total, "max_iter"
-    otherwise.  Raises ValueError naming a block with a nonfinite entry.
+    otherwise.  Raises ValueError for a tol that is not positive and
+    finite, and names a block with a nonfinite entry.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:  # written so that NaN is rejected too
+        raise ValueError("tol must be positive and finite")
     bad = model.nonfinite_block()
     if bad is not None:
         raise ValueError(f"subproblem {bad} has nonfinite entries")
-    _, m, _ = model.dims
+    d, m, n = model.dims
+    # one factorization of A_eq serves both routes
+    eq = _factor_rows(model.A_eq)
+    xp = eq.solution(model.b_eq)
+    if n and np.max(np.abs(model.A_eq @ xp - model.b_eq)) > INFEASIBILITY_TOL:
+        # inconsistent equality rows leave nothing to optimize over
+        return QpSolution(
+            d=np.zeros(d), eta=Multipliers.zeros(m, n), kkt_error=float("inf"), status="infeasible", iterations=0
+        )
     if m == 0:
-        return _solve_equality_qp(model, tol)
-    return _solve_ipm(model, tol)
+        return _solve_equality_qp(model, tol, eq)
+    return _solve_ipm(model, tol, eq, xp)

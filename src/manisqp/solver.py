@@ -127,8 +127,8 @@ class SolverConfig:
         for name in ("epsilon", "delta", "rho_init", "qp_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if not self.rho_init < math.inf:
-            raise ValueError("rho_init must be finite")
+            if not getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite")
         require_integers(max_iter=self.max_iter, max_backtracks=self.max_backtracks, seed=self.seed)
         for name in ("residual_tol", "max_iter", "max_time", "max_backtracks", "seed"):
             if not getattr(self, name) >= 0:

@@ -22,7 +22,7 @@ from qp_oracle import oracle_qp, random_qp, reference_saddle
 
 def _saddle(h, ae, r1, r2):
     ld = np.longdouble
-    return qp._solve_saddle(h, ae, r1, r2, h.astype(ld), ae.astype(ld), r1.astype(ld), r2.astype(ld))
+    return qp._solve_saddle(h, qp._factor_rows(ae), r1, r2, h.astype(ld), ae.astype(ld), r1.astype(ld), r2.astype(ld))
 
 
 def test_modify_hessian_hand_example():
@@ -48,6 +48,9 @@ def test_modify_hessian_validation():
         m.modify_hessian(np.eye(2), 0.0)
     with pytest.raises(ValueError):
         m.modify_hessian(np.eye(2), -1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            m.modify_hessian(np.eye(2), bad)
 
 
 def test_modify_hessian_floor_and_eigenvector_preservation():
@@ -315,15 +318,14 @@ def _seeded_models():
 def test_early_infeasibility_decision_keeps_every_verdict(monkeypatch):
     models = _seeded_models()
     early = [m.solve_qp(model, 1e-10) for model in models]
-    check = qp._IPM_PHASE1_ITER
     # neither trigger fires: the LP runs only when the path ends uncertified
     monkeypatch.setattr(qp, "_phase1_due", lambda it, gap, gap_first: False)
     late = [m.solve_qp(model, 1e-10) for model in models]
 
     statuses = [sol.status for sol in late]
     assert statuses.count("optimal") >= 40 and statuses.count("infeasible") >= 40
-    # the early decision had work to cut short
-    assert sum(sol.iterations > check for sol in late if sol.status == "infeasible") >= 10
+    # the early decision cut work short
+    assert sum(a.iterations < b.iterations for a, b in zip(early, late) if b.status == "infeasible") >= 10
     for i, (a, b) in enumerate(zip(early, late)):
         assert a.status == b.status, i
         if b.status == "optimal":
@@ -574,25 +576,31 @@ def _check_dependent_row_solution(model, original, label):
     sol = m.solve_qp(model, 1e-10)
     ref = oracle_qp(*original)
     assert sol.status == "optimal", label
-    assert sol.eta.lam[-1] == 0.0, label
+    # the minimum-norm multipliers: lam is the y(A_eq^T lam) of A_eq's factorization
+    lam = sol.eta.lam
+    again = qp._factor_rows(model.A_eq).multipliers(model.A_eq.T @ lam)
+    assert np.max(np.abs(again - lam)) < 1e-12 * (1.0 + np.abs(lam).max()), label
     assert np.max(np.abs(sol.d - ref[0])) < 1e-6, label
     assert sol.kkt_error == m.kkt_violation(model, sol.d, sol.eta.mu, sol.eta.lam) <= 1e-10
 
 
-def test_interior_point_route_drops_dependent_equality_rows(monkeypatch):
-    # a repeated equality row would make every Newton matrix singular; the
-    # path runs on the independent rows and is certified against the whole model
+def test_interior_point_route_runs_in_the_null_space_of_dependent_rows(monkeypatch):
+    # a repeated equality row would make a full-space Newton matrix
+    # singular; the path runs in the null space of the rows and is
+    # certified against the whole model
     model = m.QpModel(np.eye(2), np.ones(2), [[1.0, 0.0]], [1.0], [[0.0, 1.0], [0.0, 1.0]], [0.5, 0.5])
     sol = m.solve_qp(model, 1e-10)
     assert sol.status == "optimal"
     assert np.max(np.abs(sol.d - [-1.0, 0.5])) < 1e-9
-    assert sol.eta.lam.shape == (2,) and sol.eta.lam[1] == 0.0
-    assert abs(sol.eta.lam[0] + 1.5) < 1e-9
+    # the minimum-norm multipliers, which the equality route gives too
+    assert sol.eta.lam.shape == (2,) and np.max(np.abs(sol.eta.lam + 0.75)) < 1e-9
     assert sol.kkt_error == m.kkt_violation(model, sol.d, sol.eta.mu, sol.eta.lam) <= 1e-10
+    eq_sol = m.solve_qp(_equality_only(model), 1e-10)
+    assert np.max(np.abs(eq_sol.eta.lam + 0.75)) < 1e-9
 
     # random models with a scaled copy of one of their equality rows: the
-    # rows are dropped before the first factorization, which is then never
-    # singular, and the answer is the oracle's for the model without the copy
+    # reduced Newton matrix is never singular, and the answer is the
+    # oracle's for the model without the copy
     singular = []
     factor = qp.dgetrf
 
@@ -620,8 +628,44 @@ def test_dependent_equality_rows_are_found_without_a_zero_pivot():
         _check_dependent_row_solution(*models[draw], draw)
 
 
-def test_interior_point_route_decides_inconsistent_dependent_rows_infeasible():
+def test_interior_point_route_decides_inconsistent_dependent_rows_infeasible(monkeypatch):
+    # decided for both routes in one place, before any iteration and
+    # without the phase-1 LP
+    calls = []
+    monkeypatch.setattr(qp, "linprog", lambda *args, **kwargs: calls.append(1))
     model = m.QpModel(np.eye(2), np.ones(2), [[1.0, 0.0]], [1.0], [[0.0, 1.0], [0.0, 1.0]], [0.5, 0.7])
     sol = m.solve_qp(model, 1e-10)
     assert sol.status == "infeasible"
     assert sol.eta.lam.shape == (2,)
+    assert sol.iterations == 0 and not calls
+
+
+def test_slack_inequality_rows_leave_the_equality_answer():
+    # inequality rows that are slack at the equality route's answer: the
+    # interior-point route, in the null space of A_eq, finds the same point
+    # and the same multipliers, dependent rows included
+    rng = np.random.default_rng(44)
+    checked = 0
+    for _ in range(40):
+        h, c, _, _, ae, be = random_qp(rng)
+        if not ae.shape[0]:
+            continue
+        if rng.random() < 0.5:
+            ae, be = np.vstack([ae, -2.0 * ae[:1]]), np.append(be, -2.0 * be[:1])
+        none = (np.zeros((0, c.size)), np.zeros(0))
+        ref = m.solve_qp(m.QpModel(h, c, *none, ae, be), 1e-10)
+        ai = rng.normal(size=(3, c.size))
+        sol = m.solve_qp(m.QpModel(h, c, ai, ai @ ref.d + rng.uniform(0.5, 2.0, size=3), ae, be), 1e-10)
+        assert ref.status == sol.status == "optimal"
+        assert np.max(np.abs(sol.d - ref.d)) < 1e-8
+        assert np.max(np.abs(sol.eta.lam - ref.eta.lam)) < 1e-8
+        assert np.max(np.abs(sol.eta.mu)) < 1e-8
+        checked += 1
+    assert checked >= 20
+
+
+def test_solve_qp_rejects_a_tol_that_is_not_positive_and_finite():
+    model = m.QpModel(np.eye(2), np.ones(2), np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros(0))
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            m.solve_qp(model, bad)

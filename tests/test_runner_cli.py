@@ -278,6 +278,12 @@ def test_cli_invalid_solver_values_exit_2(tmp_path, capsys):
         main(base + ["--rho-init", "inf"])
     assert exc.value.code == 2
     assert "rho_init must be finite" in capsys.readouterr().err
+    cut = ["solve", "--problem", "balanced_cut", "--q", "10", "--s", "2", "--density", "0.5"]
+    for flag, name in (("--epsilon", "epsilon"), ("--delta", "delta"), ("--qp-tol", "qp_tol")):
+        with pytest.raises(SystemExit) as exc:
+            main(cut + [flag, "inf"])
+        assert exc.value.code == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
     comp = {"problem": "completion", "q": 4, "s": 8, "p": 2}
     bad_specs = (
         ({**comp, "solver": {"delta": 0.0}}, "delta must be positive"),

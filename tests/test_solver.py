@@ -70,6 +70,11 @@ def test_solver_config_validation():
     # an infinite penalty makes the merit NaN at a feasible point
     with pytest.raises(ValueError, match="rho_init must be finite"):
         m.SolverConfig(rho_init=float("inf"))
+    # an infinite epsilon makes the merit NaN, an infinite delta floors the
+    # Hessian to inf, and an infinite qp_tol certifies any subproblem answer
+    for name in ("epsilon", "delta", "qp_tol"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            m.SolverConfig(**{name: float("inf")})
     # zero stays valid: the feasibility phase runs with residual_tol=0.0
     m.SolverConfig(residual_tol=0.0, max_iter=0, max_backtracks=0, max_time=0.0)
     m.SolverConfig(max_time=float("inf"))
