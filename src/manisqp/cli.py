@@ -89,6 +89,8 @@ def _cmd_solve(parser, args) -> int:
         cfg = SolverConfig(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         parser.error(str(exc))
+    if not args.start_tol >= 0.0:  # written so that NaN is rejected too
+        parser.error("start_tol must be nonnegative")
     trace, _ = solve_instance(_gen_instance(parser, args), cfg, args.start_tol)
     if args.trace:
         write_trace_csv(args.trace, trace.records, wall_times=args.wall_times)

@@ -300,8 +300,15 @@ def feasible_start(
     tol is returned untouched.  A random start can linearize the constraints
     infeasibly or stall; the phase then restarts from a fresh seeded point,
     with all attempts sharing the ``max_iter`` step budget.  Raises
-    RuntimeError when the budget runs out before reaching tol.
+    RuntimeError when the budget runs out before reaching tol, and
+    ValueError for a tol that is NaN or negative or a ``max_iter`` that is
+    not a nonnegative integer.
     """
+    if not tol >= 0.0:  # written so that NaN is rejected too
+        raise ValueError("tol must be nonnegative")
+    require_integers(max_iter=max_iter)
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     man = inst.manifold
     prob = completion_problem(inst)
     feas = Problem(manifold=man, objective=_ZERO, inequalities=prob.ineq, equalities=prob.eq)

@@ -19,16 +19,17 @@ inequality rows reduce to a single saddle-point solve (null-space method
 with extended-precision refinement, the reduced Hessian factored by LAPACK's
 Cholesky routines), everything else goes through a Mehrotra-style
 predictor-corrector interior point iteration on the slack form, run on w
-with d = x_p + Z w.  An interior-point iterate gets the
-extended-precision certificate only when a float64 lower bound on its KKT
-violation (``_rules_out``) cannot show that it misses tol; the iterates it
-skips are evaluated if the path ends uncertified, so the returned point is
-the same either way.  Infeasibility is decided by an elastic phase-1 linear
-program that minimizes the total constraint violation.  It runs at most once
-per model: at the first iterate whose duality gap exceeds the first
-iterate's, at iteration ``_IPM_PHASE1_ITER`` at the latest, or when the
-path ends uncertified.  A minimum violation above (m + n) * tol ends the
-path at once, because no point of the model could then be certified.
+with d = x_p + Z w (Z is the identity and x_p zero without equality rows).
+An interior-point iterate gets the extended-precision certificate only when
+a float64 lower bound on its complementarity violation (``_rules_out``)
+cannot show that it misses tol; the iterates it skips are evaluated if the
+path ends uncertified, so the returned point is the same either way.
+Infeasibility is decided by an elastic phase-1 linear program that
+minimizes the total constraint violation.  It runs at most once per model:
+at the first iterate whose duality gap exceeds the first iterate's, or when
+the path ends uncertified after ``_IPM_MAX_ITER`` iterations.  A minimum
+violation above (m + n) * tol ends the path at once, because no point of
+the model could then be certified.
 """
 
 from __future__ import annotations
@@ -61,12 +62,12 @@ INFEASIBILITY_TOL = 1e-8
 # extraction; anything more negative is a solver bug, not roundoff.
 MU_CLAMP = 1e-10
 
-_IPM_MAX_ITER = 100
-# Uncertified interior-point iterations after which the phase-1 LP runs
-# at the latest and an infeasible model is decided.  Certified subproblems
-# of the completion workloads took at most 22 iterations (4x8, first 300
-# feasibility phases) and 17 (5x10, first 16 solves), at workload seed 11.
-_IPM_PHASE1_ITER = 25
+# Interior-point iterations per model, after which an uncertified path gets
+# the phase-1 LP.  Certified subproblems took at most 22 iterations on
+# completion 4x8 (first 300 feasibility phases) and 17 on completion 5x10
+# (first 10 solves), at workload seed 11, and at most 14 on the random QPs
+# of acceptance criterion 2.
+_IPM_MAX_ITER = 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,13 +96,6 @@ class QpModel:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.c.size, self.b_ineq.size, self.b_eq.size
-
-    def nonfinite_block(self) -> str | None:
-        """Name of the first block with a nonfinite entry, or None."""
-        for name in ("H", "c", "A_ineq", "b_ineq", "A_eq", "b_eq"):
-            if not np.isfinite(getattr(self, name)).all():
-                return name
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +129,8 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
         raise ValueError("H must be a square matrix")
     if not 0.0 < delta < np.inf:  # written so that NaN is rejected too
         raise ValueError("delta must be positive and finite")
+    if not np.isfinite(H).all():
+        raise ValueError("H has nonfinite entries")
     if H.size and np.max(np.abs(H - H.T)) > SYMMETRY_TOL:
         raise ValueError("H is not symmetric")
     sym = (H + H.T) / 2.0
@@ -205,25 +201,24 @@ def kkt_violation(model: QpModel, d: np.ndarray, mu: np.ndarray, lam: np.ndarray
 
 
 def _phase1_min_violation(model: QpModel) -> float:
-    """Least total violation of the linearized constraints (elastic LP)."""
+    """Least total violation of the linearized constraints (elastic LP).
+
+    Only the interior-point route asks, so the model has inequality rows.
+    """
     d, m, n = model.dims
     nvar = d + m + 2 * n
     cost = np.zeros(nvar)
     cost[d:] = 1.0
-    a_ub = None
-    b_ub = None
-    if m:
-        a_ub = np.hstack([model.A_ineq, -np.eye(m), np.zeros((m, 2 * n))])
-        b_ub = model.b_ineq
-    a_eq = None
-    b_eq = None
+    a_ub = np.hstack([model.A_ineq, -np.eye(m), np.zeros((m, 2 * n))])
+    a_eq = b_eq = None
     if n:
         a_eq = np.hstack([model.A_eq, np.zeros((n, m)), np.eye(n), -np.eye(n)])
         b_eq = model.b_eq
     bounds = [(None, None)] * d + [(0, None)] * (m + 2 * n)
     # HiGHS's presolve costs more than it saves on LPs this small
     res = linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs", options={"presolve": False}
+        cost, A_ub=a_ub, b_ub=model.b_ineq, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+        method="highs", options={"presolve": False},
     )
     if not res.success:
         return float("inf")
@@ -357,40 +352,27 @@ def _screen(model: QpModel) -> tuple:
     k = d + m + n + 4
     gamma = k * (np.finfo(float).eps + np.finfo(np.longdouble).eps)
     tiny = 2 * k * np.finfo(float).smallest_subnormal
-    blocks = (np.abs(a) for a in (model.H, model.c, model.A_ineq, model.b_ineq, model.A_eq))
-    return (gamma, tiny, *blocks)
+    return gamma, tiny, np.abs(model.A_ineq), np.abs(model.b_ineq)
 
 
-def _rules_out(screen: tuple, tol: float, x, z, y, rd: np.ndarray, slack: np.ndarray) -> bool:
-    """True when float64 residuals prove that ``_kkt_error`` at (x, z, y) exceeds tol.
+def _rules_out(screen: tuple, tol: float, x: np.ndarray, z: np.ndarray, slack: np.ndarray) -> bool:
+    """True when float64 residuals prove that ``_kkt_error`` at (x, z, any y) exceeds tol.
 
-    ``rd`` is the stationarity residual H x + c + A_ineq^T z + A_eq^T y and
-    ``slack`` is A_ineq x - b_ineq, both evaluated in float64 at (x, z, y).
-    Each entry less its rounding bound is a lower bound on the matching
-    entry of the extended-precision certificate.  NaN or inf in a bound
-    never rules an iterate out: NaN propagates through the maximum, and an
-    overflowed float64 slack times a tiny z could exceed tol when the
+    ``slack`` is A_ineq x - b_ineq evaluated in float64.  Each complementarity
+    entry |z_i| |slack_i| less its rounding bound is a lower bound on the
+    matching entry of the extended-precision certificate.  NaN or inf in a
+    bound never rules an iterate out: NaN propagates through the maximum,
+    and an overflowed float64 slack times a tiny z could exceed tol when the
     extended-precision product does not.
     """
-    gamma, tiny, h, c, ai, bi, ae = screen
-    xa = np.abs(x)
-    za = np.abs(z)
-    stat = h @ xa + c + ai.T @ za
-    if y.size:
-        stat += ae.T @ np.abs(y)
-    if tol < np.maximum.reduce(np.abs(rd) - (gamma * stat + tiny), initial=-np.inf) < np.inf:
-        return True
-    comp = za * (np.abs(slack) - (gamma * (ai @ xa + bi) + tiny))
+    gamma, tiny, ai, bi = screen
+    comp = np.abs(z) * (np.abs(slack) - (gamma * (ai @ np.abs(x) + bi) + tiny))
     return bool(tol < np.maximum.reduce(comp, initial=-np.inf) < np.inf)
 
 
-def _phase1_due(it: int, gap: float, gap_first: float) -> bool:
-    """Whether the phase-1 LP runs at interior-point iteration ``it``.
-
-    Once the duality gap has grown past the first iterate's, the path is
-    rarely heading for a certificate; ``_IPM_PHASE1_ITER`` bounds the wait.
-    """
-    return gap > gap_first or it == _IPM_PHASE1_ITER
+def _phase1_due(gap: float, gap_first: float) -> bool:
+    """Whether the phase-1 LP runs now: a gap grown past the first iterate's rarely certifies."""
+    return gap > gap_first
 
 
 def _solve_ipm(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> QpSolution:
@@ -399,17 +381,16 @@ def _solve_ipm(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> Qp
     The path runs on w, with x = xp + Z w for the minimum-norm solution xp
     of A_eq x = b_eq and the null-space basis Z of ``eq``; its Newton matrix
     Z^T (H + A_ineq^T D A_ineq) Z has order d - rank, so dependent equality
-    rows need no special case.  Each iterate's y is the least-squares
-    multiplier that minimizes its stationarity residual.  With rank 0, Z is
-    the identity and is not applied.  Certificate, screen and phase-1 LP
+    rows need no special case; with no rows, Z is the identity and xp is
+    zero, exactly.  Each iterate's y is the least-squares multiplier that
+    minimizes its stationarity residual.  Certificate, screen and phase-1 LP
     are the whole model's.
     """
     H, c = model.H, model.c
     ai, bi = model.A_ineq, model.b_ineq
-    ae = model.A_eq
-    d, m, n = model.dims
-    zb = eq.z if eq.sv.size else None
-    hr, ar = (H, ai) if zb is None else (zb.T @ H @ zb, ai @ zb)
+    _, m, n = model.dims
+    zb = eq.z
+    hr, ar = zb.T @ H @ zb, ai @ zb
     dr = hr.shape[0]
 
     ext = _extended(model)
@@ -420,38 +401,38 @@ def _solve_ipm(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> Qp
     phase1 = None
 
     w = np.zeros(dr)
-    x = w if zb is None else xp
+    x = xp
     s = np.maximum(1.0, bi - ai @ x)
     z = np.ones(m)
+    gap_first = float(z @ s) / m
 
     # (KKT error, or None where the screen skipped it, x, z, y) per iterate;
     # the arrays are replaced, never modified, so keeping them is safe
     iterates = []
     # slacks collapse when the constraints are inconsistent, and the
     # divisions by them overflow; every such case ends the central path at
-    # the best iterate so far through a finiteness check below
+    # the best iterate so far through the finiteness check below, since a
+    # nonfinite Newton direction (predictor or corrector) leaves x, s or z
+    # nonfinite after the step
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, _IPM_MAX_ITER + 1):
             ax = ai @ x
             g = H @ x + c + ai.T @ z
             y = eq.multipliers(-g)
-            rd = g + ae.T @ y
             err = None
-            if not _rules_out(screen, tol, x, z, y, rd, ax - bi):
+            if not _rules_out(screen, tol, x, z, ax - bi):
                 err = _kkt_error(ext, x, z, y)
                 if err <= tol:
                     mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
                     return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=it)
             iterates.append((err, x, z, y))
             gap = float(z @ s) / m
-            if it == 1:
-                gap_first = gap
-            if phase1 is None and _phase1_due(it, gap, gap_first):
+            if phase1 is None and _phase1_due(gap, gap_first):
                 phase1 = _phase1_min_violation(model)
                 if phase1 > hopeless:
                     break
 
-            gr = rd if zb is None else zb.T @ g
+            gr = zb.T @ g
             ri = ax + s - bi
             dd = z / s
             if dr:  # LAPACK rejects an empty matrix
@@ -463,48 +444,31 @@ def _solve_ipm(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> Qp
                 rhs = -(gr + ar.T @ (rc / s + dd * ri))
                 dw = dgetrs(lu, piv, rhs, overwrite_b=True)[0] if dr else rhs
                 ds = -ri - ar @ dw
-                dz = (rc - z * ds) / s
-                # a nonfinite z / s, right-hand side or ds makes dw or dz nonfinite
-                if not (np.isfinite(dw).all() and np.isfinite(dz).all()):
-                    return None
-                return dw, ds, dz
+                return dw, ds, (rc - z * ds) / s
 
             # predictor
-            pred = newton(-z * s)
-            if pred is None:
-                break
-            dwa, dsa, dza = pred
+            dwa, dsa, dza = newton(-z * s)
             ap = min(1.0, _max_step(s, dsa))
             ad = min(1.0, _max_step(z, dza))
             gap_aff = float((z + ad * dza) @ (s + ap * dsa)) / m
             sigma = (max(gap_aff, 0.0) / gap) ** 3 if gap > 0.0 else 0.0
 
             # corrector
-            rc = sigma * gap - z * s - dza * dsa
-            corr = newton(rc)
-            if corr is None:
-                break
-            dw, ds, dz = corr
+            dw, ds, dz = newton(sigma * gap - z * s - dza * dsa)
             ap = min(1.0, 0.99 * _max_step(s, ds))
             ad = min(1.0, 0.99 * _max_step(z, dz))
             w = w + ap * dw
             s = s + ap * ds
             z = z + ad * dz
-            x = w if zb is None else xp + zb @ w
+            x = xp + zb @ w
             if not (np.isfinite(x).all() and np.isfinite(s).all() and np.isfinite(z).all()):
                 break
             if gap < 1e-18:
                 break
 
-        # first minimum, as if every iterate had been evaluated in turn
-        best = None
-        for err, x, z, y in iterates:
-            if err is None:
-                err = _kkt_error(ext, x, z, y)
-            if best is None or err < best[0]:
-                best = (err, x, z, y)
-
-    err, x, z, y = best
+        evaluated = [(_kkt_error(ext, x, z, y) if err is None else err, x, z, y) for err, x, z, y in iterates]
+    # first minimum, as if every iterate had been evaluated in turn
+    err, x, z, y = min(evaluated, key=lambda e: e[0])
     if phase1 is None:
         phase1 = _phase1_min_violation(model)
     status = "infeasible" if phase1 > INFEASIBILITY_TOL else "max_iter"
@@ -525,9 +489,9 @@ def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
     """
     if not 0.0 < tol < np.inf:  # written so that NaN is rejected too
         raise ValueError("tol must be positive and finite")
-    bad = model.nonfinite_block()
-    if bad is not None:
-        raise ValueError(f"subproblem {bad} has nonfinite entries")
+    for name in ("H", "c", "A_ineq", "b_ineq", "A_eq", "b_eq"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise ValueError(f"subproblem {name} has nonfinite entries")
     d, m, n = model.dims
     # one factorization of A_eq serves both routes
     eq = _factor_rows(model.A_eq)

@@ -64,6 +64,8 @@ class RunSpec:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not self.start_tol >= 0.0:  # written so that NaN is rejected too
+            raise ValueError("start_tol must be nonnegative")
 
     @staticmethod
     def from_dict(d: dict) -> "RunSpec":

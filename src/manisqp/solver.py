@@ -273,10 +273,10 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
         b = np.eye(len(basis))
 
     model = build_subproblem(prob, x, basis, b)
-    bad = model.nonfinite_block()
-    if bad is not None:
-        raise StallError(f"subproblem {bad} has nonfinite entries")
-    sol = solve_qp(model, cfg.qp_tol)
+    try:
+        sol = solve_qp(model, cfg.qp_tol)
+    except ValueError as exc:  # nonfinite subproblem data, or a nonfinite saddle-solve intermediate
+        raise StallError(str(exc)) from None
     if sol.status == "infeasible":
         raise QpInfeasibleError(f"subproblem infeasible at iteration {k}")
     if sol.status != "optimal":

@@ -174,6 +174,21 @@ def test_feasible_start_deterministic_and_short_circuits():
     assert c is a
 
 
+def test_feasible_start_validates_its_target_and_budget():
+    inst = m.gen_completion(4, 8, 2, seed=7)
+    for tol in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            m.feasible_start(inst, tol=tol)
+    for max_iter in (2.5, True):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            m.feasible_start(inst, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+        m.feasible_start(inst, max_iter=-1)
+    # a zero target stays valid: the phase runs and fails on its budget
+    with pytest.raises(RuntimeError, match="did not reach violation 0.0 in 0 iterations"):
+        m.feasible_start(inst, tol=0.0, max_iter=0)
+
+
 def test_instance_dict_roundtrip_completion():
     inst = m.gen_completion(4, 8, 2, seed=7)
     d = json.loads(json.dumps(m.instance_to_dict(inst)))

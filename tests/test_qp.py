@@ -51,6 +51,12 @@ def test_modify_hessian_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             m.modify_hessian(np.eye(2), bad)
+    # nonfinite entries are refused before the symmetry test, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad in ([[np.nan]], [[1.0, np.inf], [np.inf, 1.0]], [[np.inf, 0.0], [1.0, 1.0]]):
+            with pytest.raises(ValueError, match="H has nonfinite entries"):
+                m.modify_hessian(np.array(bad), 1e-3)
 
 
 def test_modify_hessian_floor_and_eigenvector_preservation():
@@ -318,8 +324,8 @@ def _seeded_models():
 def test_early_infeasibility_decision_keeps_every_verdict(monkeypatch):
     models = _seeded_models()
     early = [m.solve_qp(model, 1e-10) for model in models]
-    # neither trigger fires: the LP runs only when the path ends uncertified
-    monkeypatch.setattr(qp, "_phase1_due", lambda it, gap, gap_first: False)
+    # the gap trigger never fires: the LP runs only when the path ends uncertified
+    monkeypatch.setattr(qp, "_phase1_due", lambda gap, gap_first: False)
     late = [m.solve_qp(model, 1e-10) for model in models]
 
     statuses = [sol.status for sol in late]
@@ -337,17 +343,22 @@ def test_early_infeasibility_decision_keeps_every_verdict(monkeypatch):
             assert a.iterations <= b.iterations, i
 
 
-def test_infeasible_model_is_decided_at_the_check_point(monkeypatch):
-    # the check point is the first iterate whose duality gap exceeds the
-    # first iterate's, or iteration _IPM_PHASE1_ITER at the latest
+def _counted_linprog(monkeypatch):
     calls = []
+    linprog = qp.linprog
 
     def counted(*args, **kwargs):
         calls.append(1)
         return linprog(*args, **kwargs)
 
-    linprog = qp.linprog
     monkeypatch.setattr(qp, "linprog", counted)
+    return calls
+
+
+def test_infeasible_model_is_decided_at_the_check_point(monkeypatch):
+    # the check point is the first iterate whose duality gap exceeds the
+    # first iterate's, or the end of the path after _IPM_MAX_ITER iterations
+    calls = _counted_linprog(monkeypatch)
     rng = np.random.default_rng(3)
     decided = 0
     for _ in range(20):
@@ -358,17 +369,29 @@ def test_infeasible_model_is_decided_at_the_check_point(monkeypatch):
         if sol.status != "optimal":
             assert len(calls) == 1
         if sol.status == "infeasible":
-            # the growing gap decides every one before the latest check point
-            assert sol.iterations < qp._IPM_PHASE1_ITER
+            # the growing gap decides every one before the end of the path
+            assert sol.iterations < qp._IPM_MAX_ITER
             decided += 1
             assert not sol.kkt_error <= 1e-10
             assert sol.d.shape == (4,) and sol.eta.mu.shape == (8,) and sol.eta.lam.shape == (2,)
     assert decided == 14
 
 
-def _screened(model, tol, x, z, y):
-    rd = model.H @ x + model.c + model.A_ineq.T @ z + model.A_eq.T @ y
-    return qp._rules_out(qp._screen(model), tol, x, z, y, rd, model.A_ineq @ x - model.b_ineq)
+def test_uncertified_feasible_model_stops_at_the_iteration_limit(monkeypatch):
+    # scaled by 1e5, this feasible model's central path stalls far from a
+    # certificate without its gap collapsing, so only the limit ends it
+    calls = _counted_linprog(monkeypatch)
+    model = _seeded_models()[12]
+    k = 1e5
+    scaled = m.QpModel(k * model.H, k * model.c, model.A_ineq, k * model.b_ineq, model.A_eq, k * model.b_eq)
+    sol = m.solve_qp(scaled, 1e-10)
+    assert sol.status == "max_iter" and sol.iterations == qp._IPM_MAX_ITER
+    assert len(calls) == 1
+
+
+def _screened(model, tol, x, z):
+    # the screen reads complementarity only, so it holds whatever y is
+    return qp._rules_out(qp._screen(model), tol, x, z, model.A_ineq @ x - model.b_ineq)
 
 
 def test_screen_rules_out_only_uncertifiable_iterates(monkeypatch):
@@ -376,8 +399,10 @@ def test_screen_rules_out_only_uncertifiable_iterates(monkeypatch):
     seen = []
     rules_out = qp._rules_out
 
-    def recorded(screen, tol, x, z, y, rd, slack):
-        out = rules_out(screen, tol, x, z, y, rd, slack)
+    def recorded(screen, tol, x, z, slack):
+        out = rules_out(screen, tol, x, z, slack)
+        # the route's y at this iterate
+        y = qp._factor_rows(model.A_eq).multipliers(-(model.H @ x + model.c + model.A_ineq.T @ z))
         seen.append((out, x, z, y))
         return out
 
@@ -404,18 +429,18 @@ def test_screen_rules_out_only_uncertifiable_iterates(monkeypatch):
         for scale in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
             x, z, y = (v + scale * (1.0 + np.abs(v)) * rng.normal(size=v.size) for v in (sol.d, sol.eta.mu, sol.eta.lam))
             err = m.kkt_violation(model, x, z, y)
-            if _screened(model, tol, x, z, y):
+            if _screened(model, tol, x, z):
                 ruled += 1
                 assert err > tol
             # at tol = err not even the exact certificate exceeds tol
-            assert not _screened(model, err, x, z, y)
+            assert not _screened(model, err, x, z)
     assert ruled > len(certified)
 
 
 def test_screen_leaves_every_solution_unchanged(monkeypatch):
     models = _seeded_models() + _degenerate_models()
     screened = [m.solve_qp(model, 1e-10) for model in models]
-    monkeypatch.setattr(qp, "_rules_out", lambda *args: False)
+    monkeypatch.setattr(qp, "_rules_out", lambda screen, tol, x, z, slack: False)
     for i, (model, a) in enumerate(zip(models, screened)):
         b = m.solve_qp(model, 1e-10)
         assert a.status == b.status and a.iterations == b.iterations, i

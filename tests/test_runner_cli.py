@@ -127,6 +127,9 @@ def test_runspec_roundtrip_and_validation():
         for value in (2.5, 2.0, True):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 m.RunSpec(problem="completion", q=4, s=8, p=2, **{name: value})
+    for value in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="start_tol must be nonnegative"):
+            m.RunSpec(problem="completion", q=4, s=8, p=2, start_tol=value)
 
 
 def test_run_artifacts_match_summary(tmp_path):
@@ -278,6 +281,11 @@ def test_cli_invalid_solver_values_exit_2(tmp_path, capsys):
         main(base + ["--rho-init", "inf"])
     assert exc.value.code == 2
     assert "rho_init must be finite" in capsys.readouterr().err
+    for value in ("-1", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--start-tol", value])
+        assert exc.value.code == 2
+        assert "start_tol must be nonnegative" in capsys.readouterr().err
     cut = ["solve", "--problem", "balanced_cut", "--q", "10", "--s", "2", "--density", "0.5"]
     for flag, name in (("--epsilon", "epsilon"), ("--delta", "delta"), ("--qp-tol", "qp_tol")):
         with pytest.raises(SystemExit) as exc:
@@ -293,6 +301,7 @@ def test_cli_invalid_solver_values_exit_2(tmp_path, capsys):
         ({**comp, "trials": 2.5}, "trials must be an integer"),
         ({**comp, "seed": -1}, "seed must be nonnegative"),
         ({**comp, "solver": {"max_iter": 2.5}}, "max_iter must be an integer"),
+        ({**comp, "start_tol": -1}, "start_tol must be nonnegative"),
         ({**comp, "bogus": 1}, "bogus"),
         ({**comp, "solver": {"foo": 1}}, "foo"),
     )

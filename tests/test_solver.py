@@ -357,6 +357,28 @@ def test_verdict_stalled_on_nonfinite_subproblem_data(kind, capfd):
     assert capfd.readouterr().err == ""  # no LAPACK complaint
 
 
+def test_verdict_stalled_when_the_saddle_solve_overflows():
+    # finite subproblem data whose saddle right-hand side H x_p overflows:
+    # the saddle solve's finiteness check ends the run instead of escaping
+    man = m.Euclidean(2)
+    obj = m.SmoothFunction(
+        value=lambda x: 0.5 * float(1e307 * x[0] * x[0] + x[1] * x[1]),
+        gradient=lambda x: np.array([1e307 * x[0], x[1]]),
+        hess_vec=lambda x, v: np.array([1e307 * v[0], v[1]]),
+    )
+    line = m.SmoothFunction(
+        value=lambda x: float(x[0] + x[1] - 1e3),
+        gradient=lambda x: np.ones(2),
+        hess_vec=lambda x, v: np.zeros(2),
+    )
+    prob = m.Problem(man, obj, (), (line,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        state, trace = m.solve(prob, man.point(np.zeros(2)))
+    assert trace.verdict == "stalled"
+    assert trace.reason == "array must not contain infs or NaNs"
+    assert trace.records == []
+
+
 def test_zero_dimensional_manifold_ends_with_a_verdict():
     # each row of Oblique(3, 1) is +-1: the tangent space is {0}
     man = m.Oblique(3, 1)
