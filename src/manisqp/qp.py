@@ -40,7 +40,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
-from scipy.optimize import linprog
 
 from .manifolds import ManifoldPoint, TangentBasis, _readonly
 from .problem import Multipliers, Problem, constraint_values
@@ -200,6 +199,18 @@ def kkt_violation(model: QpModel, d: np.ndarray, mu: np.ndarray, lam: np.ndarray
     return _kkt_error(_extended(model), d, mu, lam)
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    Only the phase-1 LP needs scipy.optimize, and loading it costs about a
+    third of the package's import time and ~21 MB, so problems that never
+    reach phase 1 (equality-only ones, balanced cut among them) never load it.
+    """
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
+
+
 def _phase1_min_violation(model: QpModel) -> float:
     """Least total violation of the linearized constraints (elastic LP).
 
@@ -269,7 +280,9 @@ def _check_finite(a: np.ndarray) -> None:
 def _solve_saddle(H, eq: _RowFactor, r1, r2, hl, al, r1l, r2l):
     """Solve [[H, A_eq^T], [A_eq, 0]] (x, y) = (r1, r2) by the null-space method.
 
-    Returns (x, y).  ``eq`` is the ``_RowFactor`` of A_eq, and ``hl``,
+    Returns (x, y, residual), the residual being the max-norm of
+    (r1 - H x - A_eq^T y, r2 - A_eq x) in extended precision, rounded to
+    float64.  ``eq`` is the ``_RowFactor`` of A_eq, and ``hl``,
     ``al``, ``r1l`` and ``r2l`` are H, A_eq, r1 and r2 in extended
     precision.  Rank-deficient consistent rows are tolerated and get the
     minimum-norm y.  The backward error is polished by iterative
@@ -321,15 +334,14 @@ def _solve_saddle(H, eq: _RowFactor, r1, r2, hl, al, r1l, r2l):
         dx, dlam = direct(res1, res2)
         x = x + dx
         lam = lam + dlam
-    return best[1], best[2]
+    return best[1], best[2], best[0]
 
 
 def _solve_equality_qp(model: QpModel, tol: float, eq: _RowFactor) -> QpSolution:
-    # one extended-precision cast serves the refinement and the certificate
-    ext = _extended(model)
-    hl, cl, _, _, al, bl = ext
-    x, lam = _solve_saddle(model.H, eq, -model.c, model.b_eq, hl, al, -cl, bl)
-    err = _kkt_error(ext, x, np.zeros(0), lam)
+    # with r1 = -c and r2 = b_eq the refinement's residual is the KKT
+    # violation, in the same order of terms as ``_kkt_error``
+    hl, cl, _, _, al, bl = _extended(model)
+    x, lam, err = _solve_saddle(model.H, eq, -model.c, model.b_eq, hl, al, -cl, bl)
     status = "optimal" if err <= tol else "max_iter"
     return QpSolution(d=x, eta=Multipliers(np.zeros(0), lam), kkt_error=err, status=status, iterations=1)
 
@@ -451,7 +463,9 @@ def _solve_ipm(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> Qp
             ap = min(1.0, _max_step(s, dsa))
             ad = min(1.0, _max_step(z, dza))
             gap_aff = float((z + ad * dza) @ (s + ap * dsa)) / m
-            sigma = (max(gap_aff, 0.0) / gap) ** 3 if gap > 0.0 else 0.0
+            # a numpy power, so that a huge ratio overflows to inf (and the
+            # corrector's step turns nonfinite) instead of raising
+            sigma = np.float64(max(gap_aff, 0.0) / gap) ** 3 if gap > 0.0 else 0.0
 
             # corrector
             dw, ds, dz = newton(sigma * gap - z * s - dza * dsa)

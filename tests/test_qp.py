@@ -8,6 +8,8 @@ around 1/delta, and without extended-precision refinement the returned
 certificate sits orders of magnitude above what is attainable.
 """
 
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -22,7 +24,7 @@ from qp_oracle import oracle_qp, random_qp, reference_saddle
 
 def _saddle(h, ae, r1, r2):
     ld = np.longdouble
-    return qp._solve_saddle(h, qp._factor_rows(ae), r1, r2, h.astype(ld), ae.astype(ld), r1.astype(ld), r2.astype(ld))
+    return qp._solve_saddle(h, qp._factor_rows(ae), r1, r2, h.astype(ld), ae.astype(ld), r1.astype(ld), r2.astype(ld))[:2]
 
 
 def test_modify_hessian_hand_example():
@@ -218,6 +220,57 @@ def test_solve_qp_infeasible_inequalities():
     )
     sol = m.solve_qp(model, 1e-10)
     assert sol.status == "infeasible"
+
+
+def test_scipy_optimize_loads_with_the_first_phase1_lp(tmp_path):
+    # importing the package, solving a balanced cut instance (equality rows
+    # only) and the CLI's gen never reach the phase-1 LP, so they leave
+    # scipy.optimize unloaded; the first model that does loads it
+    script = """
+import sys
+import numpy as np
+import manisqp as m
+from manisqp import cli
+inst = m.gen_balanced_cut(20, 2, 0.2, seed=3)
+_, trace = m.solve(m.cut_problem(inst), m.random_cut_start(inst), cfg=m.SolverConfig(seed=3))
+assert trace.verdict == "converged", trace.verdict
+assert cli.main(["gen", "--problem", "balanced_cut", "--q", "10", "--s", "2", "--density", "0.5",
+                 "--out", sys.argv[1]]) == 0
+print("scipy.optimize" in sys.modules)
+# the model of test_solve_qp_infeasible_inequalities
+sol = m.solve_qp(m.QpModel(np.eye(1), np.zeros(1), [[1.0], [-1.0]], [-1.0, -2.0], np.zeros((0, 1)), np.zeros(0)), 1e-10)
+print("scipy.optimize" in sys.modules)
+print(sol.status, sol.d.tobytes().hex(), repr(sol.kkt_error), sol.iterations)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "cut.json")], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    before, after, answer = proc.stdout.splitlines()[-3:]
+    assert (before, after) == ("False", "True")
+    # the same answer as in this process
+    model = m.QpModel(np.eye(1), np.zeros(1), [[1.0], [-1.0]], [-1.0, -2.0], np.zeros((0, 1)), np.zeros(0))
+    sol = m.solve_qp(model, 1e-10)
+    assert sol.status == "infeasible"
+    assert answer == f"{sol.status} {sol.d.tobytes().hex()} {sol.kkt_error!r} {sol.iterations}"
+
+
+def test_overflowing_centering_parameter_ends_the_path():
+    # a finite, badly scaled model (H, c and b scaled by ~4e182, A_ineq by
+    # ~5e42) whose predicted gap exceeds the gap by more than ~1e102: the
+    # cube of their ratio overflows, which ends the path at its best iterate
+    # instead of raising OverflowError out of solve_qp
+    rng = np.random.default_rng(5)
+    for _ in range(135):
+        h, c, ai, bi, ae, be = random_qp(rng)
+        k = 10.0 ** rng.uniform(0, 250)
+        j = 10.0 ** rng.uniform(-50, 50)
+    model = m.QpModel(h * k, c * k, ai * j, bi * k, ae, be)
+    assert model.dims == (2, 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = m.solve_qp(model, 1e-10)
+    assert sol.status in ("infeasible", "max_iter")
 
 
 def test_solve_qp_is_deterministic():
