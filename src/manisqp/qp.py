@@ -24,12 +24,13 @@ An interior-point iterate gets the extended-precision certificate only when
 a float64 lower bound on its complementarity violation (``_rules_out``)
 cannot show that it misses tol; the iterates it skips are evaluated if the
 path ends uncertified, so the returned point is the same either way.
-Infeasibility is decided by an elastic phase-1 linear program that
-minimizes the total constraint violation.  It runs at most once per model:
-at the first iterate whose duality gap exceeds the first iterate's, or when
-the path ends uncertified after ``_IPM_MAX_ITER`` iterations.  A minimum
-violation above (m + n) * tol ends the path at once, because no point of
-the model could then be certified.
+Infeasibility is decided from the path's own dual iterates: by weak
+duality of the elastic LP that minimizes the total constraint violation,
+y = z / max z with least-squares equality multipliers v bounds that
+violation from below (``_certifies_infeasible``).  The test runs at every
+iterate from the first whose duality gap exceeds the first iterate's, and
+once more at the last iterate of a path that ends uncertified; a path with
+no such certificate ends "max_iter".
 """
 
 from __future__ import annotations
@@ -54,18 +55,24 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-8
-# Minimal linearized-constraint violation above which a subproblem is
-# declared infeasible by the phase-1 check.
+# Lower bound on the total linearized-constraint violation above which a
+# subproblem is declared infeasible: inconsistent equality rows, or the
+# dual certificate of the interior-point route.
 INFEASIBILITY_TOL = 1e-8
+# Componentwise relative residual of A_ineq^T y + A_eq^T v that the dual
+# certificate accepts.  1e-8 and 1e-6 gave the same statuses on the
+# completion 4x8 and 5x10 subproblems (workload seed 11) and on the tests'
+# models.
+_CERT_RTOL = 1e-10
 # Negative inequality multipliers in [-MU_CLAMP, 0) are rounded to zero on
 # extraction; anything more negative is a solver bug, not roundoff.
 MU_CLAMP = 1e-10
 
 # Interior-point iterations per model, after which an uncertified path gets
-# the phase-1 LP.  Certified subproblems took at most 22 iterations on
-# completion 4x8 (first 300 feasibility phases) and 17 on completion 5x10
-# (first 10 solves), at workload seed 11, and at most 14 on the random QPs
-# of acceptance criterion 2.
+# its last dual certificate test.  Certified subproblems took at most 22
+# iterations on completion 4x8 (first 300 feasibility phases) and 17 on
+# completion 5x10 (first 10 solves), at workload seed 11, and at most 14 on
+# the random QPs of acceptance criterion 2.
 _IPM_MAX_ITER = 25
 
 
@@ -202,38 +209,13 @@ def kkt_violation(model: QpModel, d: np.ndarray, mu: np.ndarray, lam: np.ndarray
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call.
 
-    Only the phase-1 LP needs scipy.optimize, and loading it costs about a
-    third of the package's import time and ~21 MB, so problems that never
-    reach phase 1 (equality-only ones, balanced cut among them) never load it.
+    No code of the package calls it: infeasibility is certified from the
+    interior-point path's dual iterates, so no run loads scipy.optimize.
+    The name stays because perfbench's tracer wraps it as the phase-1 layer.
     """
     from scipy.optimize import linprog
 
     return linprog(*args, **kwargs)
-
-
-def _phase1_min_violation(model: QpModel) -> float:
-    """Least total violation of the linearized constraints (elastic LP).
-
-    Only the interior-point route asks, so the model has inequality rows.
-    """
-    d, m, n = model.dims
-    nvar = d + m + 2 * n
-    cost = np.zeros(nvar)
-    cost[d:] = 1.0
-    a_ub = np.hstack([model.A_ineq, -np.eye(m), np.zeros((m, 2 * n))])
-    a_eq = b_eq = None
-    if n:
-        a_eq = np.hstack([model.A_eq, np.zeros((n, m)), np.eye(n), -np.eye(n)])
-        b_eq = model.b_eq
-    bounds = [(None, None)] * d + [(0, None)] * (m + 2 * n)
-    # HiGHS's presolve costs more than it saves on LPs this small
-    res = linprog(
-        cost, A_ub=a_ub, b_ub=model.b_ineq, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-        method="highs", options={"presolve": False},
-    )
-    if not res.success:
-        return float("inf")
-    return float(res.fun)
 
 
 _REFINE_PASSES = 6
@@ -382,9 +364,28 @@ def _rules_out(screen: tuple, tol: float, x: np.ndarray, z: np.ndarray, slack: n
     return bool(tol < np.maximum.reduce(comp, initial=-np.inf) < np.inf)
 
 
-def _phase1_due(gap: float, gap_first: float) -> bool:
-    """Whether the phase-1 LP runs now: a gap grown past the first iterate's rarely certifies."""
+def _dual_test_due(gap: float, gap_first: float) -> bool:
+    """Whether the dual test starts now: a gap grown past the first iterate's rarely certifies."""
     return gap > gap_first
+
+
+def _certifies_infeasible(model: QpModel, eq: _RowFactor, z: np.ndarray) -> bool:
+    """Whether z proves the model infeasible (Ye, Todd & Mizuno 1994; Todd 2004).
+
+    Every (y, v) with A_ineq^T y + A_eq^T v = 0, 0 <= y <= 1 and |v| <= 1
+    bounds the least total violation from below by -(b_ineq^T y + b_eq^T v),
+    the dual of the elastic LP.  Here y = z / max z, v is the least-squares
+    multiplier of -A_ineq^T y and t = max(1, |v|) scales (y, v) into that
+    box; the residual must vanish to _CERT_RTOL relative to its terms.
+    """
+    y = z / z.max()
+    aty = model.A_ineq.T @ y
+    v = eq.multipliers(-aty)
+    t = max(1.0, float(np.abs(v).max(initial=0.0)))
+    r = aty + model.A_eq.T @ v
+    scale = np.abs(model.A_ineq).T @ y + np.abs(model.A_eq).T @ np.abs(v)
+    bound = -float(model.b_ineq @ y + model.b_eq @ v) / t
+    return bool(np.all(np.abs(r) <= _CERT_RTOL * scale) and bound > INFEASIBILITY_TOL)
 
 
 def _solve_ipm(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> QpSolution:
@@ -395,22 +396,19 @@ def _solve_ipm(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> Qp
     Z^T (H + A_ineq^T D A_ineq) Z has order d - rank, so dependent equality
     rows need no special case; with no rows, Z is the identity and xp is
     zero, exactly.  Each iterate's y is the least-squares multiplier that
-    minimizes its stationarity residual.  Certificate, screen and phase-1 LP
-    are the whole model's.
+    minimizes its stationarity residual.  Certificate, screen and dual
+    infeasibility test are the whole model's.
     """
     H, c = model.H, model.c
     ai, bi = model.A_ineq, model.b_ineq
-    _, m, n = model.dims
+    m = bi.size
     zb = eq.z
     hr, ar = zb.T @ H @ zb, ai @ zb
     dr = hr.shape[0]
 
     ext = _extended(model)
     screen = _screen(model)
-    # the l1 violation of any d is at most (m + n) times its max-norm KKT
-    # error, so above this phase-1 value no iterate can be certified
-    hopeless = max(INFEASIBILITY_TOL, (m + n) * tol)
-    phase1 = None
+    armed = infeasible = False
 
     w = np.zeros(dr)
     x = xp
@@ -439,10 +437,10 @@ def _solve_ipm(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> Qp
                     return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=it)
             iterates.append((err, x, z, y))
             gap = float(z @ s) / m
-            if phase1 is None and _phase1_due(gap, gap_first):
-                phase1 = _phase1_min_violation(model)
-                if phase1 > hopeless:
-                    break
+            armed = armed or _dual_test_due(gap, gap_first)
+            if armed and _certifies_infeasible(model, eq, z):
+                infeasible = True
+                break
 
             gr = zb.T @ g
             ri = ax + s - bi
@@ -480,12 +478,12 @@ def _solve_ipm(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> Qp
             if gap < 1e-18:
                 break
 
+        # the last iterate kept has a finite z; an armed path has tested it
+        infeasible = infeasible or (not armed and _certifies_infeasible(model, eq, iterates[-1][2]))
         evaluated = [(_kkt_error(ext, x, z, y) if err is None else err, x, z, y) for err, x, z, y in iterates]
     # first minimum, as if every iterate had been evaluated in turn
     err, x, z, y = min(evaluated, key=lambda e: e[0])
-    if phase1 is None:
-        phase1 = _phase1_min_violation(model)
-    status = "infeasible" if phase1 > INFEASIBILITY_TOL else "max_iter"
+    status = "infeasible" if infeasible else "max_iter"
     mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
     return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status=status, iterations=it)
 
@@ -495,11 +493,11 @@ def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
 
     ``status`` is "optimal" only when the KKT violation of the returned
     point is <= tol.  Inconsistent equality rows end "infeasible" at once.
-    Otherwise a run that cannot be certified is classified by the
-    phase-1 check: "infeasible" when even the most forgiving point violates
-    the linearized constraints by more than 1e-8 in total, "max_iter"
-    otherwise.  Raises ValueError for a tol that is not positive and
-    finite, and names a block with a nonfinite entry.
+    Otherwise a run is "infeasible" when a dual iterate of the path proves
+    that every point violates the linearized constraints by more than 1e-8
+    in total, and "max_iter" when it ends uncertified without such a proof.
+    Raises ValueError for a tol that is not positive and finite, and names
+    a block with a nonfinite entry.
     """
     if not 0.0 < tol < np.inf:  # written so that NaN is rejected too
         raise ValueError("tol must be positive and finite")

@@ -222,10 +222,10 @@ def test_solve_qp_infeasible_inequalities():
     assert sol.status == "infeasible"
 
 
-def test_scipy_optimize_loads_with_the_first_phase1_lp(tmp_path):
+def test_scipy_optimize_never_loads(tmp_path):
     # importing the package, solving a balanced cut instance (equality rows
-    # only) and the CLI's gen never reach the phase-1 LP, so they leave
-    # scipy.optimize unloaded; the first model that does loads it
+    # only), the CLI's gen, an infeasible interior-point model and a
+    # completion feasibility phase and solve leave scipy.optimize unloaded
     script = """
 import sys
 import numpy as np
@@ -239,6 +239,11 @@ assert cli.main(["gen", "--problem", "balanced_cut", "--q", "10", "--s", "2", "-
 print("scipy.optimize" in sys.modules)
 # the model of test_solve_qp_infeasible_inequalities
 sol = m.solve_qp(m.QpModel(np.eye(1), np.zeros(1), [[1.0], [-1.0]], [-1.0, -2.0], np.zeros((0, 1)), np.zeros(0)), 1e-10)
+inst = m.gen_completion(4, 8, 2, seed=7)
+prob = m.completion_problem(inst)
+x0 = m.feasible_start(inst, tol=1e-2)
+_, trace = m.solve(prob, x0, m.Multipliers.zeros(prob.m, prob.n), m.SolverConfig(seed=7, max_iter=20))
+assert trace.records, trace.verdict
 print("scipy.optimize" in sys.modules)
 print(sol.status, sol.d.tobytes().hex(), repr(sol.kkt_error), sol.iterations)
 """
@@ -247,7 +252,7 @@ print(sol.status, sol.d.tobytes().hex(), repr(sol.kkt_error), sol.iterations)
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     before, after, answer = proc.stdout.splitlines()[-3:]
-    assert (before, after) == ("False", "True")
+    assert (before, after) == ("False", "False")
     # the same answer as in this process
     model = m.QpModel(np.eye(1), np.zeros(1), [[1.0], [-1.0]], [-1.0, -2.0], np.zeros((0, 1)), np.zeros(0))
     sol = m.solve_qp(model, 1e-10)
@@ -255,22 +260,50 @@ print(sol.status, sol.d.tobytes().hex(), repr(sol.kkt_error), sol.iterations)
     assert answer == f"{sol.status} {sol.d.tobytes().hex()} {sol.kkt_error!r} {sol.iterations}"
 
 
+def _stress_models(draws):
+    # the tests' random_qp models at seed 5, H, c and b_ineq scaled by
+    # 10^U(0, 250) and A_ineq by 10^U(-50, 50); draws are numbered from 0
+    rng = np.random.default_rng(5)
+    models = []
+    for _ in range(draws):
+        h, c, ai, bi, ae, be = random_qp(rng)
+        k = 10.0 ** rng.uniform(0, 250)
+        j = 10.0 ** rng.uniform(-50, 50)
+        models.append(m.QpModel(h * k, c * k, ai * j, bi * k, ae, be))
+    return models
+
+
 def test_overflowing_centering_parameter_ends_the_path():
     # a finite, badly scaled model (H, c and b scaled by ~4e182, A_ineq by
     # ~5e42) whose predicted gap exceeds the gap by more than ~1e102: the
     # cube of their ratio overflows, which ends the path at its best iterate
     # instead of raising OverflowError out of solve_qp
-    rng = np.random.default_rng(5)
-    for _ in range(135):
-        h, c, ai, bi, ae, be = random_qp(rng)
-        k = 10.0 ** rng.uniform(0, 250)
-        j = 10.0 ** rng.uniform(-50, 50)
-    model = m.QpModel(h * k, c * k, ai * j, bi * k, ae, be)
+    model = _stress_models(135)[134]
     assert model.dims == (2, 1, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         sol = m.solve_qp(model, 1e-10)
     assert sol.status in ("infeasible", "max_iter")
+
+
+def test_solver_failure_is_not_read_as_infeasibility():
+    # a feasible stress draw (H, c and b scaled by ~1.1e6, A_ineq by
+    # ~2.2e17) on which HiGHS failed the elastic phase-1 LP, which is
+    # always feasible, and the failure was read as "infeasible" at
+    # iteration 11; the path certifies at iteration 23
+    model = _stress_models(688)[687]
+    assert model.dims == (1, 3, 0)
+    sol = m.solve_qp(model, 1e-10)
+    assert sol.status == "optimal" and sol.kkt_error <= 1e-10
+
+
+def test_feasible_badly_scaled_models_are_never_certified_infeasible():
+    # stress draws with minimum violation 0 and A_ineq scaled by 1e11-1e12:
+    # a residual bound normwise in max|A_ineq| certified all three
+    # infeasible, the componentwise one of _certifies_infeasible none
+    models = _stress_models(2384)
+    for draw in (518, 624, 2383):
+        assert m.solve_qp(models[draw], 1e-10).status != "infeasible", draw
 
 
 def test_solve_qp_is_deterministic():
@@ -345,7 +378,7 @@ def test_qp_model_validation():
 
 def _dense_rows_qp(rng, d=4, n_ineq=8, n_eq=2):
     # random rows and right-hand sides: mostly infeasible, and the central
-    # path runs well past the phase-1 check point before it would collapse
+    # path runs well past the dual test's check point before it would collapse
     a = rng.normal(size=(d, d))
     return m.QpModel(
         a @ a.T + np.eye(d),
@@ -377,8 +410,8 @@ def _seeded_models():
 def test_early_infeasibility_decision_keeps_every_verdict(monkeypatch):
     models = _seeded_models()
     early = [m.solve_qp(model, 1e-10) for model in models]
-    # the gap trigger never fires: the LP runs only when the path ends uncertified
-    monkeypatch.setattr(qp, "_phase1_due", lambda gap, gap_first: False)
+    # the gap trigger never fires: the dual test runs only when the path ends uncertified
+    monkeypatch.setattr(qp, "_dual_test_due", lambda gap, gap_first: False)
     late = [m.solve_qp(model, 1e-10) for model in models]
 
     statuses = [sol.status for sol in late]
@@ -396,34 +429,50 @@ def test_early_infeasibility_decision_keeps_every_verdict(monkeypatch):
             assert a.iterations <= b.iterations, i
 
 
-def _counted_linprog(monkeypatch):
-    calls = []
-    linprog = qp.linprog
+def _logged_dual_test(monkeypatch):
+    # "idle" or "armed" per gap check, "test" per dual certificate test;
+    # once armed, the route checks the gap no more
+    events = []
+    due, certifies = qp._dual_test_due, qp._certifies_infeasible
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
+    def logged_due(gap, gap_first):
+        out = due(gap, gap_first)
+        events.append("armed" if out else "idle")
+        return out
 
-    monkeypatch.setattr(qp, "linprog", counted)
-    return calls
+    def logged_test(model, eq, z):
+        events.append("test")
+        return certifies(model, eq, z)
+
+    monkeypatch.setattr(qp, "_dual_test_due", logged_due)
+    monkeypatch.setattr(qp, "_certifies_infeasible", logged_test)
+    return events
 
 
 def test_infeasible_model_is_decided_at_the_check_point(monkeypatch):
     # the check point is the first iterate whose duality gap exceeds the
-    # first iterate's, or the end of the path after _IPM_MAX_ITER iterations
-    calls = _counted_linprog(monkeypatch)
+    # first iterate's; from there on every iterate is tested, and a path
+    # that never gets there is tested once, at its end
+    events = _logged_dual_test(monkeypatch)
     rng = np.random.default_rng(3)
     decided = 0
     for _ in range(20):
         model = _dense_rows_qp(rng)
-        calls.clear()
+        events.clear()
         sol = m.solve_qp(model, 1e-10)
-        assert len(calls) <= 1  # phase 1 runs at most once
-        if sol.status != "optimal":
-            assert len(calls) == 1
+        if "armed" in events:
+            k = events.index("armed") + 1
+            # no test before the trigger iterate, then one at every iterate
+            assert events[:k] == ["idle"] * (k - 1) + ["armed"]
+            assert events[k:] == ["test"] * len(events[k:]) and events[k:]
+        else:
+            # every iterate kept checks the gap; the last one is tested
+            kept = sol.iterations - (sol.status == "optimal")
+            assert events == ["idle"] * kept + ["test"] * (sol.status != "optimal")
         if sol.status == "infeasible":
             # the growing gap decides every one before the end of the path
             assert sol.iterations < qp._IPM_MAX_ITER
+            assert len(events[k:]) == sol.iterations - k + 1
             decided += 1
             assert not sol.kkt_error <= 1e-10
             assert sol.d.shape == (4,) and sol.eta.mu.shape == (8,) and sol.eta.lam.shape == (2,)
@@ -433,13 +482,14 @@ def test_infeasible_model_is_decided_at_the_check_point(monkeypatch):
 def test_uncertified_feasible_model_stops_at_the_iteration_limit(monkeypatch):
     # scaled by 1e5, this feasible model's central path stalls far from a
     # certificate without its gap collapsing, so only the limit ends it
-    calls = _counted_linprog(monkeypatch)
+    calls = []
+    monkeypatch.setattr(qp, "linprog", lambda *args, **kwargs: calls.append(1))
     model = _seeded_models()[12]
     k = 1e5
     scaled = m.QpModel(k * model.H, k * model.c, model.A_ineq, k * model.b_ineq, model.A_eq, k * model.b_eq)
     sol = m.solve_qp(scaled, 1e-10)
     assert sol.status == "max_iter" and sol.iterations == qp._IPM_MAX_ITER
-    assert len(calls) == 1
+    assert not calls
 
 
 def _screened(model, tol, x, z):
@@ -578,6 +628,16 @@ def test_degenerate_models_emit_no_runtime_warning():
             assert m.solve_qp(model, 1e-10).status in ("optimal", "infeasible", "max_iter")
 
 
+def test_overflowing_model_is_decided_at_its_last_finite_iterate(monkeypatch):
+    # d_1 <= -1 and d_1 >= 1 with rows of size 1e200: z is NaN after the
+    # first step, so the test at the last finite iterate decides it, where
+    # y = (1, 1) is an exact certificate
+    events = _logged_dual_test(monkeypatch)
+    sol = m.solve_qp(_degenerate_models()[0], 1e-10)
+    assert sol.status == "infeasible" and sol.iterations == 1
+    assert events == ["idle", "test"]
+
+
 def _equality_only(model):
     return m.QpModel(model.H, model.c, np.zeros((0, model.c.size)), np.zeros(0), model.A_eq, model.b_eq)
 
@@ -708,9 +768,9 @@ def test_dependent_equality_rows_are_found_without_a_zero_pivot():
 
 def test_interior_point_route_decides_inconsistent_dependent_rows_infeasible(monkeypatch):
     # decided for both routes in one place, before any iteration and
-    # without the phase-1 LP
+    # without the dual certificate
     calls = []
-    monkeypatch.setattr(qp, "linprog", lambda *args, **kwargs: calls.append(1))
+    monkeypatch.setattr(qp, "_certifies_infeasible", lambda *args, **kwargs: calls.append(1))
     model = m.QpModel(np.eye(2), np.ones(2), [[1.0, 0.0]], [1.0], [[0.0, 1.0], [0.0, 1.0]], [0.5, 0.7])
     sol = m.solve_qp(model, 1e-10)
     assert sol.status == "infeasible"
