@@ -16,6 +16,7 @@ oblique manifold relax the indicator vectors of a vertex partition:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,7 +58,7 @@ def _instance_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), _SALT_INSTANCE)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CompletionInstance:
     q: int
     s: int
@@ -69,7 +70,8 @@ class CompletionInstance:
 
     @property
     def manifold(self) -> FixedRank:
-        return FixedRank(self.q, self.s, self.p)
+        # one per shape: every start point of an instance refers to it
+        return _fixed_rank(self.q, self.s, self.p)
 
     @property
     def fit_set(self) -> tuple[tuple[int, int], ...]:
@@ -82,6 +84,16 @@ class CompletionInstance:
         return tuple(
             (i, j) for i in range(self.q) for j in range(self.s) if (i, j) not in observed
         )
+
+
+_fixed_rank = functools.lru_cache(maxsize=32)(FixedRank)
+
+
+@functools.lru_cache(maxsize=32)
+def _entry_table(q: int, s: int) -> tuple[tuple[int, int], ...]:
+    """The (i, j) of every entry of a q x s matrix in row-major order, one
+    table per shape, so that the instances of a shape share their tuples."""
+    return tuple((f // s, f % s) for f in range(q * s))
 
 
 def gen_completion(q: int, s: int, p: int, seed: int) -> CompletionInstance:
@@ -99,7 +111,8 @@ def gen_completion(q: int, s: int, p: int, seed: int) -> CompletionInstance:
     total = q * s
     n_obs = math.ceil(total / 2)
     flat = rng.permutation(total)[:n_obs]
-    observed = tuple(sorted((int(f) // s, int(f) % s) for f in flat))
+    table = _entry_table(q, s)
+    observed = tuple(table[f] for f in sorted(flat.tolist()))
     n_pin = math.ceil(n_obs / 2)
     pick = rng.permutation(n_obs)[:n_pin]
     pinned = tuple(sorted(observed[int(i)] for i in pick))
@@ -122,45 +135,82 @@ def _objective(values, gradient, hessian=None) -> ConstraintBlock:
     )
 
 
-def _entry_block(shape: tuple[int, int], entries, sign: float, offset) -> ConstraintBlock:
+class _Entries:
     """The affine constraints sign * X_ij + offset on a list of entries.
 
     Entries are flat indices: values (at every point of a stack) and basis
-    rows are gathers, the weighted gradient is a scatter.
+    rows are gathers, the weighted gradient is a scatter.  The block's
+    callbacks are bound methods of one slotted object, which holds a
+    fraction of what a closure per callback would.
     """
-    flat = np.array([i * shape[1] + j for i, j in entries], dtype=np.intp)
 
-    def weighted_gradient(x, w):
+    __slots__ = ("flat", "sign", "offset")
+
+    def __init__(self, shape: tuple[int, int], entries, sign: float, offset):
+        self.flat = np.array([i * shape[1] + j for i, j in entries], dtype=np.intp)
+        self.sign = sign
+        self.offset = offset
+
+    def values(self, xs):
+        return self.sign * xs.reshape(len(xs), -1)[:, self.flat] + self.offset
+
+    def rows(self, x, bm):
+        return np.ascontiguousarray(self.sign * bm.T[self.flat])
+
+    def weighted_gradient(self, x, w):
         out = np.zeros(x.size)
-        out[flat] = sign * w
+        out[self.flat] = self.sign * w
         return out.reshape(x.shape)
 
-    return ConstraintBlock(
-        size=flat.size,
-        values=lambda xs: sign * xs.reshape(len(xs), -1)[:, flat] + offset,
-        rows=lambda x, bm: np.ascontiguousarray(sign * bm.T[flat]),
-        weighted_gradient=weighted_gradient,
-    )
+    def block(self) -> ConstraintBlock:
+        return ConstraintBlock(size=self.flat.size, values=self.values, rows=self.rows, weighted_gradient=self.weighted_gradient)
+
+
+class _Fit:
+    """The objective block of 0.5 * ||mask * (X - a)||_F^2, held like ``_Entries``."""
+
+    __slots__ = ("mask", "a")
+
+    def __init__(self, mask: np.ndarray, a: np.ndarray):
+        self.mask = mask
+        self.a = a
+
+    def gradient(self, x):
+        return self.mask * (x - self.a)
+
+    def values(self, xs):
+        return (0.5 * (self.mask * (xs - self.a) ** 2).reshape(len(xs), -1).sum(axis=1))[:, None]
+
+    def rows(self, x, bm):
+        return (bm @ self.gradient(x).ravel())[None]
+
+    def weighted_gradient(self, x, w):
+        return w[0] * self.gradient(x)
+
+    def weighted_hessian(self, x, w, vs):
+        return w[0] * (self.mask * vs)
+
+    def block(self) -> ConstraintBlock:
+        return ConstraintBlock(
+            size=1,
+            values=self.values,
+            rows=self.rows,
+            weighted_gradient=self.weighted_gradient,
+            weighted_hessian=self.weighted_hessian,
+        )
 
 
 def completion_problem(inst: CompletionInstance) -> Problem:
     mask = np.zeros((inst.q, inst.s))
     for i, j in inst.fit_set:
         mask[i, j] = 1.0
-    mask = _readonly(mask)
     a = inst.a
-
-    objective = _objective(
-        values=lambda xs: 0.5 * (mask * (xs - a) ** 2).reshape(len(xs), -1).sum(axis=1),
-        gradient=lambda x: mask * (x - a),
-        hessian=lambda vs: mask * vs,
-    )
     shape, pinned = (inst.q, inst.s), inst.pinned
     return Problem(
         manifold=inst.manifold,
-        objective=objective,
-        inequalities=_entry_block(shape, inst.unknown, -1.0, 0.0),
-        equalities=_entry_block(shape, pinned, 1.0, np.array([-float(a[i, j]) for i, j in pinned])),
+        objective=_Fit(_readonly(mask), a).block(),
+        inequalities=_Entries(shape, inst.unknown, -1.0, 0.0).block(),
+        equalities=_Entries(shape, pinned, 1.0, np.array([-float(a[i, j]) for i, j in pinned])).block(),
         name=f"completion-q{inst.q}-s{inst.s}-p{inst.p}-seed{inst.seed}",
     )
 

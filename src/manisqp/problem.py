@@ -52,7 +52,7 @@ class SmoothFunction:
     hess_vec: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ConstraintBlock:
     """k scalar functions c_1..c_k given together by ambient callbacks.
 
@@ -120,7 +120,7 @@ class ConstraintBlock:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Multipliers:
     """Inequality multipliers ``mu`` (length m) and equality ``lam`` (length n)."""
 

@@ -13,21 +13,34 @@ One SVD of A_eq per model gives its rank, the minimum-norm solution x_p of
 A_eq d = b_eq, a null-space basis Z and the minimum-norm multipliers of any
 stationarity residual.  Inconsistent equality rows (x_p missing b_eq by more
 than ``INFEASIBILITY_TOL``) end "infeasible" at once; dependent consistent
-rows need no special case on either route, and get the minimum-norm
-multipliers.  Two routes then use that factorization: problems without
-inequality rows reduce to a single saddle-point solve (null-space method
-with extended-precision refinement, the reduced Hessian factored by LAPACK's
-Cholesky routines), everything else goes through a Mehrotra-style
-predictor-corrector interior point iteration on the slack form, run on w
-with d = x_p + Z w (Z is the identity and x_p zero without equality rows).
+rows need no special case on any route, and get the minimum-norm
+multipliers.  Three routes then use that factorization, each on w with
+d = x_p + Z w (Z is the identity and x_p zero without equality rows):
+
+* Problems without inequality rows reduce to a single saddle-point solve
+  (null-space method with extended-precision refinement, the reduced
+  Hessian factored by LAPACK's Cholesky routines).
+* Problems with inequality rows go first to a dual active-set method
+  (Goldfarb & Idnani, Math. Programming 27, 1983; ``_solve_active_set``):
+  from the unconstrained minimizer it adds one violated row per step, and
+  a few exact steps end it, since H is positive definite.  Its point is
+  certified as it stands or after a saddle solve with the active rows as
+  equalities; a dependent row that no active row can make room for gives
+  a dual ray for the infeasibility test below.
+* What that route does not decide (step limit, failed factorization,
+  nonfinite intermediate, uncertified point, rejected ray) goes to a
+  Mehrotra-style predictor-corrector interior point iteration on the slack
+  form (``_solve_ipm``), whose answer is returned as it is.
+
 An interior-point iterate gets the extended-precision certificate only when
 a float64 lower bound on its complementarity violation (``_rules_out``)
 cannot show that it misses tol; the iterates it skips are evaluated if the
 path ends uncertified, so the returned point is the same either way.
-Infeasibility is decided from the path's own dual iterates: by weak
-duality of the elastic LP that minimizes the total constraint violation,
-y = z / max z with least-squares equality multipliers v bounds that
-violation from below (``_certifies_infeasible``).  The test runs at every
+Infeasibility is decided by dual vectors y >= 0 of the inequality rows: by
+weak duality of the elastic LP that minimizes the total constraint
+violation, y / max y with least-squares equality multipliers v bounds that
+violation from below (``_certifies_infeasible``).  The active-set route
+tests its ray; the interior point tests its dual iterates z at every
 iterate from the first whose duality gap exceeds the first iterate's, and
 once more at the last iterate of a path that ends uncertified; a path with
 no such certificate ends "max_iter".
@@ -57,7 +70,7 @@ __all__ = [
 SYMMETRY_TOL = 1e-8
 # Lower bound on the total linearized-constraint violation above which a
 # subproblem is declared infeasible: inconsistent equality rows, or the
-# dual certificate of the interior-point route.
+# dual certificate of either inequality route.
 INFEASIBILITY_TOL = 1e-8
 # Componentwise relative residual of A_ineq^T y + A_eq^T v that the dual
 # certificate accepts.  1e-8 and 1e-6 gave the same statuses on the
@@ -74,6 +87,17 @@ MU_CLAMP = 1e-10
 # completion 5x10 (first 10 solves), at workload seed 11, and at most 14 on
 # the random QPs of acceptance criterion 2.
 _IPM_MAX_ITER = 25
+
+# Active-set steps per model, after which the model goes to the interior
+# point.  Decided subproblems took a median of 5 and at most 38 steps on
+# completion 4x8 (first 300 feasibility phases), a median of 2 and at most
+# 40 on completion 5x10 (first 10 solves), at workload seed 11.
+_AS_MAX_STEPS = 50
+# A row counts as dependent on the active rows when the share of its
+# squared H_r^-1 norm left after projecting them out is at most this.
+# 1e-8 to 1e-12 gave the same verdicts on those 4x8 subproblems; at 1e-14
+# ten infeasible ones were no longer decided by a ray.
+_AS_DEPENDENT = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +134,12 @@ class QpSolution:
 
     ``d`` and ``eta`` are the certified point when ``status`` is "optimal",
     otherwise the iterate with the smallest KKT violation ``kkt_error``.
-    ``iterations`` counts the iterations run: interior-point iterates
-    examined, or 1 for a saddle-point solve; it is 0 on either route when
-    the equality rows are inconsistent.  For a certified answer it is also
-    the index of the returned iterate.
+    ``iterations`` counts the iterations run: active-set steps (the first
+    examines the unconstrained minimizer), the interior-point iterates
+    examined when the active-set route leaves the model to the interior
+    point (its steps are not added), or 1 for a saddle-point solve; it is 0
+    when the equality rows are inconsistent.  For an answer of the interior
+    point it is also the index of the returned iterate when certified.
     """
 
     d: np.ndarray
@@ -488,14 +514,154 @@ def _solve_ipm(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> Qp
     return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status=status, iterations=it)
 
 
+def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> QpSolution | None:
+    """Dual active-set route (Goldfarb & Idnani 1983), in the null space of A_eq.
+
+    Runs on w with x = xp + Z w, like ``_solve_ipm``.  With H_r = Z^T H Z
+    factored once, it starts at the unconstrained minimizer and adds the most
+    violated row p each step: r solves (A_S H_r^-1 A_S^T) r = A_S H_r^-1 a_p
+    for the active rows S, the primal direction is z = H_r^-1 (a_p - A_S^T r),
+    and the step is the full one that makes p active, or the partial one
+    that drops the first active row whose multiplier reaches zero.  When no
+    row is violated, the point is certified on the whole model, first as it
+    stands and then after a saddle solve with S as equality rows.  A
+    dependent row with no row to drop gives the dual ray y_p = 1,
+    y_S = max(-r, 0), which only ``_certifies_infeasible`` can accept.
+
+    Returns None where the route leaves the model to the interior point:
+    at the step limit, a failed factorization, a nonfinite intermediate, an
+    uncertified point or a rejected ray.
+    """
+    H, c = model.H, model.c
+    ai, bi = model.A_ineq, model.b_ineq
+    m = bi.size
+    zb = eq.z
+    dr = zb.shape[1]
+    hr, ar = zb.T @ H @ zb, ai @ zb
+    br = bi - ai @ xp
+    if dr:  # LAPACK rejects an empty matrix
+        cf, info = dpotrf(hr, lower=False, clean=True)
+        if info:
+            return None
+        sol = dpotrs(cf, np.column_stack([zb.T @ (H @ xp + c), ar.T]), lower=False)[0]
+        w, g = -sol[:, 0], sol[:, 1:]
+    else:
+        w, g = np.zeros(0), np.zeros((0, m))
+    # the rows' inner products in the metric of H_r^-1
+    cm = ar @ g
+    if not (np.isfinite(cm).all() and np.isfinite(w).all()):
+        return None
+
+    active = np.zeros(0, dtype=np.intp)  # the active rows S, in the order they were added
+    u = np.zeros(0)  # their multipliers
+    p, up = -1, 0.0  # the row being added and its multiplier
+    iterates = []  # (w, active, u, p, up) per step, for an answer that is not optimal
+    for step in range(1, _AS_MAX_STEPS + 1):
+        iterates.append((w, active, u, p, up))
+        if p < 0:
+            viol = ar @ w - br
+            viol[active] = -np.inf
+            p = int(viol.argmax())
+            if not viol[p] > 0.0:
+                return _certify_active_set(model, tol, eq, xp, w, active, u, step)
+            up = 0.0
+        if active.size:
+            rows = cm[active]
+            lu, piv, info = dgetrf(rows[:, active])
+            if info:
+                return None
+            r = dgetrs(lu, piv, rows[:, p])[0]
+            z = g[:, p] - g[:, active] @ r
+        else:
+            r = np.zeros(0)
+            z = g[:, p]
+        apz = float(ar[p] @ z)
+        ratios = np.where(r > 0.0, u / r, np.inf)
+        j = int(ratios.argmin()) if r.size else -1
+        t1 = float(ratios[j]) if r.size else np.inf
+        if apz > _AS_DEPENDENT * cm[p, p]:
+            t2 = float(ar[p] @ w - br[p]) / apz
+            full = t2 <= t1
+            t = t2 if full else t1
+            w = w - t * z
+        elif t1 == np.inf:
+            # a_p lies in the span of the active rows, and no row can leave
+            y = np.zeros(m)
+            y[active] = np.maximum(-r, 0.0)
+            y[p] = 1.0
+            if not _certifies_infeasible(model, eq, y):
+                return None
+            return _best_iterate(model, eq, xp, iterates, step)
+        else:
+            # a_p lies in the span of the active rows: move the multipliers only
+            full, t = False, t1
+        u = np.maximum(u - t * r, 0.0)
+        up += t
+        if full:
+            active = np.concatenate((active, (p,)))
+            u = np.concatenate((u, (up,)))
+            p = -1
+        else:
+            # the partial step: the j-th active row leaves, p stays the row being added
+            keep = np.arange(active.size) != j
+            active, u = active[keep], u[keep]
+        if not (np.isfinite(w).all() and np.isfinite(u).all() and np.isfinite(up)):
+            return None
+    return None
+
+
+def _active_set_point(model, eq, xp, w, active, u, p=-1, up=0.0):
+    """(x, mu, y) of an active-set iterate, y the least-squares equality multiplier."""
+    x = xp + eq.z @ w
+    mu = np.zeros(model.b_ineq.size)
+    mu[active] = u
+    if p >= 0:
+        mu[p] = up
+    y = eq.multipliers(-(model.H @ x + model.c + model.A_ineq.T @ mu))
+    return x, mu, y
+
+
+def _certify_active_set(model, tol, eq, xp, w, active, u, steps):
+    """Certify a point that violates no row, or polish it with S as equality rows."""
+    ext = _extended(model)
+    x, mu, y = _active_set_point(model, eq, xp, w, active, u)
+    err = _kkt_error(ext, x, mu, y)
+    if err <= tol:
+        return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=steps)
+    n = model.b_eq.size
+    rows = np.vstack([model.A_eq, model.A_ineq[active]])
+    rhs = np.concatenate([model.b_eq, model.b_ineq[active]])
+    ld = np.longdouble
+    try:
+        x, lam, _ = _solve_saddle(model.H, _factor_rows(rows), -model.c, rhs, ext[0], rows.astype(ld), -ext[1], rhs.astype(ld))
+    except ValueError:  # a nonfinite reduced system
+        return None
+    mu = np.zeros(model.b_ineq.size)
+    mu[active] = np.where((lam[n:] > -MU_CLAMP) & (lam[n:] < 0.0), 0.0, lam[n:])
+    y = lam[:n] if eq.sv.size == n else eq.multipliers(model.A_eq.T @ lam[:n])
+    err = _kkt_error(ext, x, mu, y)
+    if err <= tol:
+        return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=steps)
+    return None
+
+
+def _best_iterate(model, eq, xp, iterates, steps):
+    """The "infeasible" answer: the first iterate with the smallest KKT violation."""
+    ext = _extended(model)
+    points = [_active_set_point(model, eq, xp, *it) for it in iterates]
+    err, (x, mu, y) = min(((_kkt_error(ext, *pt), pt) for pt in points), key=lambda e: e[0])
+    return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="infeasible", iterations=steps)
+
+
 def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
     """Solve the subproblem and certify the result.
 
     ``status`` is "optimal" only when the KKT violation of the returned
     point is <= tol.  Inconsistent equality rows end "infeasible" at once.
-    Otherwise a run is "infeasible" when a dual iterate of the path proves
-    that every point violates the linearized constraints by more than 1e-8
-    in total, and "max_iter" when it ends uncertified without such a proof.
+    Otherwise a run is "infeasible" when a dual vector, the active-set
+    route's ray or an interior-point iterate, proves that every point
+    violates the linearized constraints by more than 1e-8 in total, and
+    "max_iter" when both routes end without a certificate.
     Raises ValueError for a tol that is not positive and finite, and names
     a block with a nonfinite entry.
     """
@@ -515,4 +681,6 @@ def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
         )
     if m == 0:
         return _solve_equality_qp(model, tol, eq)
-    return _solve_ipm(model, tol, eq, xp)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sol = _solve_active_set(model, tol, eq, xp)
+    return sol if sol is not None else _solve_ipm(model, tol, eq, xp)

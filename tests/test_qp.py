@@ -407,12 +407,22 @@ def _seeded_models():
     return models
 
 
+def _interior_point(model, tol=1e-10):
+    """``qp._solve_ipm`` alone, given the factorization of A_eq that solve_qp
+    hands it; a model without inequality rows takes solve_qp's equality
+    route."""
+    if not model.b_ineq.size:
+        return m.solve_qp(model, tol)
+    eq = qp._factor_rows(model.A_eq)
+    return qp._solve_ipm(model, tol, eq, eq.solution(model.b_eq))
+
+
 def test_early_infeasibility_decision_keeps_every_verdict(monkeypatch):
     models = _seeded_models()
-    early = [m.solve_qp(model, 1e-10) for model in models]
+    early = [_interior_point(model) for model in models]
     # the gap trigger never fires: the dual test runs only when the path ends uncertified
     monkeypatch.setattr(qp, "_dual_test_due", lambda gap, gap_first: False)
-    late = [m.solve_qp(model, 1e-10) for model in models]
+    late = [_interior_point(model) for model in models]
 
     statuses = [sol.status for sol in late]
     assert statuses.count("optimal") >= 40 and statuses.count("infeasible") >= 40
@@ -459,7 +469,7 @@ def test_infeasible_model_is_decided_at_the_check_point(monkeypatch):
     for _ in range(20):
         model = _dense_rows_qp(rng)
         events.clear()
-        sol = m.solve_qp(model, 1e-10)
+        sol = _interior_point(model)
         if "armed" in events:
             k = events.index("armed") + 1
             # no test before the trigger iterate, then one at every iterate
@@ -514,7 +524,7 @@ def test_screen_rules_out_only_uncertifiable_iterates(monkeypatch):
     certified = []
     for model in _seeded_models():
         seen.clear()
-        sol = m.solve_qp(model, tol)
+        sol = _interior_point(model, tol)
         if sol.status == "optimal":
             certified.append((model, sol))
         for out, x, z, y in seen:
@@ -542,10 +552,10 @@ def test_screen_rules_out_only_uncertifiable_iterates(monkeypatch):
 
 def test_screen_leaves_every_solution_unchanged(monkeypatch):
     models = _seeded_models() + _degenerate_models()
-    screened = [m.solve_qp(model, 1e-10) for model in models]
+    screened = [_interior_point(model) for model in models]
     monkeypatch.setattr(qp, "_rules_out", lambda screen, tol, x, z, slack: False)
     for i, (model, a) in enumerate(zip(models, screened)):
-        b = m.solve_qp(model, 1e-10)
+        b = _interior_point(model)
         assert a.status == b.status and a.iterations == b.iterations, i
         assert np.array_equal(a.d, b.d), i
         assert np.array_equal(a.eta.mu, b.eta.mu), i
@@ -633,7 +643,7 @@ def test_overflowing_model_is_decided_at_its_last_finite_iterate(monkeypatch):
     # first step, so the test at the last finite iterate decides it, where
     # y = (1, 1) is an exact certificate
     events = _logged_dual_test(monkeypatch)
-    sol = m.solve_qp(_degenerate_models()[0], 1e-10)
+    sol = _interior_point(_degenerate_models()[0])
     assert sol.status == "infeasible" and sol.iterations == 1
     assert events == ["idle", "test"]
 
@@ -710,8 +720,8 @@ def _dependent_row_models(draws):
         yield draw, model, (h, c, ai, bi, ae, be)
 
 
-def _check_dependent_row_solution(model, original, label):
-    sol = m.solve_qp(model, 1e-10)
+def _check_dependent_row_solution(model, original, label, solve=m.solve_qp):
+    sol = solve(model, 1e-10)
     ref = oracle_qp(*original)
     assert sol.status == "optimal", label
     # the minimum-norm multipliers: lam is the y(A_eq^T lam) of A_eq's factorization
@@ -727,7 +737,7 @@ def test_interior_point_route_runs_in_the_null_space_of_dependent_rows(monkeypat
     # singular; the path runs in the null space of the rows and is
     # certified against the whole model
     model = m.QpModel(np.eye(2), np.ones(2), [[1.0, 0.0]], [1.0], [[0.0, 1.0], [0.0, 1.0]], [0.5, 0.5])
-    sol = m.solve_qp(model, 1e-10)
+    sol = _interior_point(model)
     assert sol.status == "optimal"
     assert np.max(np.abs(sol.d - [-1.0, 0.5])) < 1e-9
     # the minimum-norm multipliers, which the equality route gives too
@@ -751,7 +761,7 @@ def test_interior_point_route_runs_in_the_null_space_of_dependent_rows(monkeypat
     checked = 0
     for draw, model, original in _dependent_row_models(60):
         singular.clear()
-        _check_dependent_row_solution(model, original, draw)
+        _check_dependent_row_solution(model, original, draw, _interior_point)
         assert singular and not any(singular), draw
         checked += 1
     assert checked >= 15
@@ -807,3 +817,85 @@ def test_solve_qp_rejects_a_tol_that_is_not_positive_and_finite():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             m.solve_qp(model, bad)
+
+
+def test_active_set_route_keeps_the_interior_point_verdicts():
+    # every model the interior-point route decides keeps its status, and an
+    # optimal answer is the oracle's
+    rng = np.random.default_rng(45)
+    models = _seeded_models() + [m.QpModel(*random_qp(rng)) for _ in range(500)]
+    optimal = 0
+    for i, model in enumerate(models):
+        ipm = _interior_point(model)
+        sol = m.solve_qp(model, 1e-10)
+        if ipm.status != "max_iter":
+            assert sol.status == ipm.status, i
+        if sol.status != "optimal":
+            continue
+        optimal += 1
+        assert sol.kkt_error <= 1e-10, i
+        x_ref, mu_ref, lam_ref, _ = oracle_qp(model.H, model.c, model.A_ineq, model.b_ineq, model.A_eq, model.b_eq)
+        for got, want in ((sol.d, x_ref), (sol.eta.mu, mu_ref), (sol.eta.lam, lam_ref)):
+            assert np.max(np.abs(got - want), initial=0.0) < 1e-7, i
+    assert optimal >= 540
+
+
+def test_infeasible_model_is_decided_by_the_active_set_ray(monkeypatch):
+    # the rows added before a dependent row with no multiplier to drop give
+    # the ray, which the interior point's certificate accepts; the interior
+    # point itself never runs
+    rays = []
+    certifies = qp._certifies_infeasible
+
+    def logged(model, eq, y):
+        rays.append(y)
+        return certifies(model, eq, y)
+
+    def no_fallback(*args):
+        raise AssertionError("the interior-point route ran")
+
+    monkeypatch.setattr(qp, "_certifies_infeasible", logged)
+    monkeypatch.setattr(qp, "_solve_ipm", no_fallback)
+    # d <= -1 and d >= 2: row 2 is the most violated at d = 0, and row 1
+    # then depends on it with r = -1
+    model = m.QpModel(np.eye(1), np.zeros(1), [[1.0], [-1.0]], [-1.0, -2.0], np.zeros((0, 1)), np.zeros(0))
+    sol = m.solve_qp(model, 1e-10)
+    assert sol.status == "infeasible" and sol.iterations == 2
+    assert len(rays) == 1 and np.array_equal(rays[0], [1.0, 1.0])
+    # and every inconsistent seeded model
+    for model in _seeded_models()[80:]:
+        rays.clear()
+        assert m.solve_qp(model, 1e-10).status == "infeasible"
+        assert len(rays) == 1
+
+
+def test_active_set_route_without_steps_leaves_the_interior_point_answer(monkeypatch):
+    monkeypatch.setattr(qp, "_AS_MAX_STEPS", 0)
+    for i, model in enumerate(_seeded_models() + _degenerate_models()[:5]):
+        a, b = m.solve_qp(model, 1e-10), _interior_point(model)
+        assert a.status == b.status and a.iterations == b.iterations, i
+        assert a.d.tobytes() == b.d.tobytes(), i
+        assert a.eta.mu.tobytes() == b.eta.mu.tobytes() and a.eta.lam.tobytes() == b.eta.lam.tobytes(), i
+        assert np.array_equal(a.kkt_error, b.kkt_error, equal_nan=True), i
+
+
+def test_active_set_route_certifies_what_the_interior_point_leaves_uncertified():
+    # a feasible stress draw (H, c and b scaled by ~2e3, A_ineq by ~2e38)
+    # on which the central path ends max_iter; two active-set steps reach
+    # the optimum
+    model = _stress_models(2260)[2259]
+    assert model.dims == (1, 2, 0)
+    assert _interior_point(model).status == "max_iter"
+    sol = m.solve_qp(model, 1e-10)
+    assert sol.status == "optimal" and sol.kkt_error <= 1e-10
+
+
+def test_feasible_stress_draws_are_never_certified_infeasible():
+    # without equality rows a stress draw keeps random_qp's feasible point
+    # x_bar, scaled by k / j, so it is feasible by construction
+    checked = 0
+    for draw, model in enumerate(_stress_models(3378)):
+        if not model.b_eq.size:
+            assert m.solve_qp(model, 1e-10).status != "infeasible", draw
+            checked += 1
+    assert checked > 1000
