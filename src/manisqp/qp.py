@@ -577,8 +577,7 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
             z = g[:, p]
         apz = float(ar[p] @ z)
         ratios = np.where(r > 0.0, u / r, np.inf)
-        j = int(ratios.argmin()) if r.size else -1
-        t1 = float(ratios[j]) if r.size else np.inf
+        t1 = float(ratios.min(initial=np.inf))
         if apz > _AS_DEPENDENT * cm[p, p]:
             t2 = float(ar[p] @ w - br[p]) / apz
             full = t2 <= t1
@@ -602,8 +601,9 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
             u = np.concatenate((u, (up,)))
             p = -1
         else:
-            # the partial step: the j-th active row leaves, p stays the row being added
-            keep = np.arange(active.size) != j
+            # the partial step: the first active row to reach zero leaves,
+            # p stays the row being added
+            keep = np.arange(active.size) != ratios.argmin()
             active, u = active[keep], u[keep]
         if not (np.isfinite(w).all() and np.isfinite(u).all() and np.isfinite(up)):
             return None
@@ -626,23 +626,22 @@ def _certify_active_set(model, tol, eq, xp, w, active, u, steps):
     ext = _extended(model)
     x, mu, y = _active_set_point(model, eq, xp, w, active, u)
     err = _kkt_error(ext, x, mu, y)
-    if err <= tol:
-        return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=steps)
-    n = model.b_eq.size
-    rows = np.vstack([model.A_eq, model.A_ineq[active]])
-    rhs = np.concatenate([model.b_eq, model.b_ineq[active]])
-    ld = np.longdouble
-    try:
-        x, lam, _ = _solve_saddle(model.H, _factor_rows(rows), -model.c, rhs, ext[0], rows.astype(ld), -ext[1], rhs.astype(ld))
-    except ValueError:  # a nonfinite reduced system
-        return None
-    mu = np.zeros(model.b_ineq.size)
-    mu[active] = np.where((lam[n:] > -MU_CLAMP) & (lam[n:] < 0.0), 0.0, lam[n:])
-    y = lam[:n] if eq.sv.size == n else eq.multipliers(model.A_eq.T @ lam[:n])
-    err = _kkt_error(ext, x, mu, y)
-    if err <= tol:
-        return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=steps)
-    return None
+    if not err <= tol:
+        n = model.b_eq.size
+        rows = np.vstack([model.A_eq, model.A_ineq[active]])
+        rhs = np.concatenate([model.b_eq, model.b_ineq[active]])
+        ld = np.longdouble
+        try:
+            x, lam, _ = _solve_saddle(model.H, _factor_rows(rows), -model.c, rhs, ext[0], rows.astype(ld), -ext[1], rhs.astype(ld))
+        except ValueError:  # a nonfinite reduced system
+            return None
+        mu[active] = np.where((lam[n:] > -MU_CLAMP) & (lam[n:] < 0.0), 0.0, lam[n:])
+        # dependent equality rows get the minimum-norm multipliers
+        y = lam[:n] if eq.sv.size == n else eq.multipliers(model.A_eq.T @ lam[:n])
+        err = _kkt_error(ext, x, mu, y)
+        if not err <= tol:
+            return None
+    return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=steps)
 
 
 def _best_iterate(model, eq, xp, iterates, steps):
