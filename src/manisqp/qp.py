@@ -13,37 +13,28 @@ One SVD of A_eq per model gives its rank, the minimum-norm solution x_p of
 A_eq d = b_eq, a null-space basis Z and the minimum-norm multipliers of any
 stationarity residual.  Inconsistent equality rows (x_p missing b_eq by more
 than ``INFEASIBILITY_TOL``) end "infeasible" at once; dependent consistent
-rows need no special case on any route, and get the minimum-norm
-multipliers.  Three routes then use that factorization, each on w with
+rows need no special case on either route, and get the minimum-norm
+multipliers.  Two routes then use that factorization, each on w with
 d = x_p + Z w (Z is the identity and x_p zero without equality rows):
 
 * Problems without inequality rows reduce to a single saddle-point solve
   (null-space method with extended-precision refinement, the reduced
   Hessian factored by LAPACK's Cholesky routines).
-* Problems with inequality rows go first to a dual active-set method
-  (Goldfarb & Idnani, Math. Programming 27, 1983; ``_solve_active_set``):
-  from the unconstrained minimizer it adds one violated row per step, and
-  a few exact steps end it, since H is positive definite.  Its point is
+* Problems with inequality rows go to a dual active-set method (Goldfarb &
+  Idnani, Math. Programming 27, 1983; ``_solve_active_set``): from the
+  unconstrained minimizer it adds one violated row per step, and a few
+  exact steps end it, since H is positive definite.  Its point is
   certified as it stands or after a saddle solve with the active rows as
   equalities; a dependent row that no active row can make room for gives
-  a dual ray for the infeasibility test below.
-* What that route does not decide (step limit, failed factorization,
-  nonfinite intermediate, uncertified point, rejected ray) goes to a
-  Mehrotra-style predictor-corrector interior point iteration on the slack
-  form (``_solve_ipm``), whose answer is returned as it is.
+  a dual ray for the infeasibility test below.  What the route does not
+  decide (step limit, failed factorization, nonfinite intermediate,
+  uncertified point, rejected ray) ends "max_iter" at its best iterate.
 
-An interior-point iterate gets the extended-precision certificate only when
-a float64 lower bound on its complementarity violation (``_rules_out``)
-cannot show that it misses tol; the iterates it skips are evaluated if the
-path ends uncertified, so the returned point is the same either way.
 Infeasibility is decided by dual vectors y >= 0 of the inequality rows: by
 weak duality of the elastic LP that minimizes the total constraint
 violation, y / max y with least-squares equality multipliers v bounds that
 violation from below (``_certifies_infeasible``).  The active-set route
-tests its ray; the interior point tests its dual iterates z at every
-iterate from the first whose duality gap exceeds the first iterate's, and
-once more at the last iterate of a path that ends uncertified; a path with
-no such certificate ends "max_iter".
+tests its ray, the only such vector it forms.
 """
 
 from __future__ import annotations
@@ -70,7 +61,7 @@ __all__ = [
 SYMMETRY_TOL = 1e-8
 # Lower bound on the total linearized-constraint violation above which a
 # subproblem is declared infeasible: inconsistent equality rows, or the
-# dual certificate of either inequality route.
+# dual certificate of the active-set route's ray.
 INFEASIBILITY_TOL = 1e-8
 # Componentwise relative residual of A_ineq^T y + A_eq^T v that the dual
 # certificate accepts.  1e-8 and 1e-6 gave the same statuses on the
@@ -81,17 +72,10 @@ _CERT_RTOL = 1e-10
 # extraction; anything more negative is a solver bug, not roundoff.
 MU_CLAMP = 1e-10
 
-# Interior-point iterations per model, after which an uncertified path gets
-# its last dual certificate test.  Certified subproblems took at most 22
-# iterations on completion 4x8 (first 300 feasibility phases) and 17 on
-# completion 5x10 (first 10 solves), at workload seed 11, and at most 14 on
-# the random QPs of acceptance criterion 2.
-_IPM_MAX_ITER = 25
-
-# Active-set steps per model, after which the model goes to the interior
-# point.  Decided subproblems took a median of 5 and at most 38 steps on
-# completion 4x8 (first 300 feasibility phases), a median of 2 and at most
-# 40 on completion 5x10 (first 10 solves), at workload seed 11.
+# Active-set steps per model, after which the model ends "max_iter".
+# Decided subproblems took a median of 5 and at most 38 steps on completion
+# 4x8 (first 300 feasibility phases), a median of 2 and at most 40 on
+# completion 5x10 (first 10 solves), at workload seed 11.
 _AS_MAX_STEPS = 50
 # A row counts as dependent on the active rows when the share of its
 # squared H_r^-1 norm left after projecting them out is at most this.
@@ -135,11 +119,9 @@ class QpSolution:
     ``d`` and ``eta`` are the certified point when ``status`` is "optimal",
     otherwise the iterate with the smallest KKT violation ``kkt_error``.
     ``iterations`` counts the iterations run: active-set steps (the first
-    examines the unconstrained minimizer), the interior-point iterates
-    examined when the active-set route leaves the model to the interior
-    point (its steps are not added), or 1 for a saddle-point solve; it is 0
-    when the equality rows are inconsistent.  For an answer of the interior
-    point it is also the index of the returned iterate when certified.
+    examines the unconstrained minimizer; 0 when the route fails before it),
+    or 1 for a saddle-point solve; it is 0 when the equality rows are
+    inconsistent.
     """
 
     d: np.ndarray
@@ -236,8 +218,9 @@ def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call.
 
     No code of the package calls it: infeasibility is certified from the
-    interior-point path's dual iterates, so no run loads scipy.optimize.
-    The name stays because perfbench's tracer wraps it as the phase-1 layer.
+    active-set route's dual ray, so no run loads scipy.optimize.  The name
+    stays only because perfbench's tracer wraps it by name as the phase-1
+    layer.
     """
     from scipy.optimize import linprog
 
@@ -354,47 +337,6 @@ def _solve_equality_qp(model: QpModel, tol: float, eq: _RowFactor) -> QpSolution
     return QpSolution(d=x, eta=Multipliers(np.zeros(0), lam), kkt_error=err, status=status, iterations=1)
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    # the reduction called directly: ndarray.min adds a Python-level wrapper
-    return float(np.minimum.reduce(np.where(dv < 0.0, -v / dv, np.inf)))
-
-
-def _screen(model: QpModel) -> tuple:
-    """What ``_rules_out`` reads of a model, built once per model.
-
-    With k = d + m + n + 4 terms at most in any residual entry, float64 and
-    extended-precision evaluations of it each differ from the exact value by
-    at most k * u * (sum of the magnitudes of its terms), u the unit
-    roundoff, plus k underflow units.  ``gamma`` doubles their sum, which
-    also covers the rounding of the bound itself.
-    """
-    d, m, n = model.dims
-    k = d + m + n + 4
-    gamma = k * (np.finfo(float).eps + np.finfo(np.longdouble).eps)
-    tiny = 2 * k * np.finfo(float).smallest_subnormal
-    return gamma, tiny, np.abs(model.A_ineq), np.abs(model.b_ineq)
-
-
-def _rules_out(screen: tuple, tol: float, x: np.ndarray, z: np.ndarray, slack: np.ndarray) -> bool:
-    """True when float64 residuals prove that ``_kkt_error`` at (x, z, any y) exceeds tol.
-
-    ``slack`` is A_ineq x - b_ineq evaluated in float64.  Each complementarity
-    entry |z_i| |slack_i| less its rounding bound is a lower bound on the
-    matching entry of the extended-precision certificate.  NaN or inf in a
-    bound never rules an iterate out: NaN propagates through the maximum,
-    and an overflowed float64 slack times a tiny z could exceed tol when the
-    extended-precision product does not.
-    """
-    gamma, tiny, ai, bi = screen
-    comp = np.abs(z) * (np.abs(slack) - (gamma * (ai @ np.abs(x) + bi) + tiny))
-    return bool(tol < np.maximum.reduce(comp, initial=-np.inf) < np.inf)
-
-
-def _dual_test_due(gap: float, gap_first: float) -> bool:
-    """Whether the dual test starts now: a gap grown past the first iterate's rarely certifies."""
-    return gap > gap_first
-
-
 def _certifies_infeasible(model: QpModel, eq: _RowFactor, z: np.ndarray) -> bool:
     """Whether z proves the model infeasible (Ye, Todd & Mizuno 1994; Todd 2004).
 
@@ -414,110 +356,10 @@ def _certifies_infeasible(model: QpModel, eq: _RowFactor, z: np.ndarray) -> bool
     return bool(np.all(np.abs(r) <= _CERT_RTOL * scale) and bound > INFEASIBILITY_TOL)
 
 
-def _solve_ipm(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> QpSolution:
-    """Interior-point route, in the null space of A_eq.
-
-    The path runs on w, with x = xp + Z w for the minimum-norm solution xp
-    of A_eq x = b_eq and the null-space basis Z of ``eq``; its Newton matrix
-    Z^T (H + A_ineq^T D A_ineq) Z has order d - rank, so dependent equality
-    rows need no special case; with no rows, Z is the identity and xp is
-    zero, exactly.  Each iterate's y is the least-squares multiplier that
-    minimizes its stationarity residual.  Certificate, screen and dual
-    infeasibility test are the whole model's.
-    """
-    H, c = model.H, model.c
-    ai, bi = model.A_ineq, model.b_ineq
-    m = bi.size
-    zb = eq.z
-    hr, ar = zb.T @ H @ zb, ai @ zb
-    dr = hr.shape[0]
-
-    ext = _extended(model)
-    screen = _screen(model)
-    armed = infeasible = False
-
-    w = np.zeros(dr)
-    x = xp
-    s = np.maximum(1.0, bi - ai @ x)
-    z = np.ones(m)
-    gap_first = float(z @ s) / m
-
-    # (KKT error, or None where the screen skipped it, x, z, y) per iterate;
-    # the arrays are replaced, never modified, so keeping them is safe
-    iterates = []
-    # slacks collapse when the constraints are inconsistent, and the
-    # divisions by them overflow; every such case ends the central path at
-    # the best iterate so far through the finiteness check below, since a
-    # nonfinite Newton direction (predictor or corrector) leaves x, s or z
-    # nonfinite after the step
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for it in range(1, _IPM_MAX_ITER + 1):
-            ax = ai @ x
-            g = H @ x + c + ai.T @ z
-            y = eq.multipliers(-g)
-            err = None
-            if not _rules_out(screen, tol, x, z, ax - bi):
-                err = _kkt_error(ext, x, z, y)
-                if err <= tol:
-                    mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
-                    return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=it)
-            iterates.append((err, x, z, y))
-            gap = float(z @ s) / m
-            armed = armed or _dual_test_due(gap, gap_first)
-            if armed and _certifies_infeasible(model, eq, z):
-                infeasible = True
-                break
-
-            gr = zb.T @ g
-            ri = ax + s - bi
-            dd = z / s
-            if dr:  # LAPACK rejects an empty matrix
-                lu, piv, info = dgetrf(np.asfortranarray(hr + (ar.T * dd) @ ar), overwrite_a=True)
-                if info:  # singular: the solves below could only give inf/nan
-                    break
-
-            def newton(rc):
-                rhs = -(gr + ar.T @ (rc / s + dd * ri))
-                dw = dgetrs(lu, piv, rhs, overwrite_b=True)[0] if dr else rhs
-                ds = -ri - ar @ dw
-                return dw, ds, (rc - z * ds) / s
-
-            # predictor
-            dwa, dsa, dza = newton(-z * s)
-            ap = min(1.0, _max_step(s, dsa))
-            ad = min(1.0, _max_step(z, dza))
-            gap_aff = float((z + ad * dza) @ (s + ap * dsa)) / m
-            # a numpy power, so that a huge ratio overflows to inf (and the
-            # corrector's step turns nonfinite) instead of raising
-            sigma = np.float64(max(gap_aff, 0.0) / gap) ** 3 if gap > 0.0 else 0.0
-
-            # corrector
-            dw, ds, dz = newton(sigma * gap - z * s - dza * dsa)
-            ap = min(1.0, 0.99 * _max_step(s, ds))
-            ad = min(1.0, 0.99 * _max_step(z, dz))
-            w = w + ap * dw
-            s = s + ap * ds
-            z = z + ad * dz
-            x = xp + zb @ w
-            if not (np.isfinite(x).all() and np.isfinite(s).all() and np.isfinite(z).all()):
-                break
-            if gap < 1e-18:
-                break
-
-        # the last iterate kept has a finite z; an armed path has tested it
-        infeasible = infeasible or (not armed and _certifies_infeasible(model, eq, iterates[-1][2]))
-        evaluated = [(_kkt_error(ext, x, z, y) if err is None else err, x, z, y) for err, x, z, y in iterates]
-    # first minimum, as if every iterate had been evaluated in turn
-    err, x, z, y = min(evaluated, key=lambda e: e[0])
-    status = "infeasible" if infeasible else "max_iter"
-    mu = np.where((z > -MU_CLAMP) & (z < 0.0), 0.0, z)
-    return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status=status, iterations=it)
-
-
-def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> QpSolution | None:
+def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray) -> QpSolution:
     """Dual active-set route (Goldfarb & Idnani 1983), in the null space of A_eq.
 
-    Runs on w with x = xp + Z w, like ``_solve_ipm``.  With H_r = Z^T H Z
+    Runs on w with x = xp + Z w, xp and Z from ``eq``.  With H_r = Z^T H Z
     factored once, it starts at the unconstrained minimizer and adds the most
     violated row p each step: r solves (A_S H_r^-1 A_S^T) r = A_S H_r^-1 a_p
     for the active rows S, the primal direction is z = H_r^-1 (a_p - A_S^T r),
@@ -528,8 +370,8 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
     dependent row with no row to drop gives the dual ray y_p = 1,
     y_S = max(-r, 0), which only ``_certifies_infeasible`` can accept.
 
-    Returns None where the route leaves the model to the interior point:
-    at the step limit, a failed factorization, a nonfinite intermediate, an
+    Ends "max_iter" at its best iterate where it decides nothing: at the
+    step limit, a failed factorization, a nonfinite intermediate, an
     uncertified point or a rejected ray.
     """
     H, c = model.H, model.c
@@ -542,7 +384,7 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
     if dr:  # LAPACK rejects an empty matrix
         cf, info = dpotrf(hr, lower=False, clean=True)
         if info:
-            return None
+            return _best_iterate(model, eq, xp, [], 0, "max_iter")
         sol = dpotrs(cf, np.column_stack([zb.T @ (H @ xp + c), ar.T]), lower=False)[0]
         w, g = -sol[:, 0], sol[:, 1:]
     else:
@@ -550,7 +392,7 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
     # the rows' inner products in the metric of H_r^-1
     cm = ar @ g
     if not (np.isfinite(cm).all() and np.isfinite(w).all()):
-        return None
+        return _best_iterate(model, eq, xp, [], 0, "max_iter")
 
     active = np.zeros(0, dtype=np.intp)  # the active rows S, in the order they were added
     u = np.zeros(0)  # their multipliers
@@ -563,13 +405,16 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
             viol[active] = -np.inf
             p = int(viol.argmax())
             if not viol[p] > 0.0:
-                return _certify_active_set(model, tol, eq, xp, w, active, u, step)
+                sol = _certify_active_set(model, tol, eq, xp, w, active, u, step)
+                if sol is not None:
+                    return sol
+                break
             up = 0.0
         if active.size:
             rows = cm[active]
             lu, piv, info = dgetrf(rows[:, active])
             if info:
-                return None
+                break
             r = dgetrs(lu, piv, rows[:, p])[0]
             z = g[:, p] - g[:, active] @ r
         else:
@@ -588,9 +433,9 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
             y = np.zeros(m)
             y[active] = np.maximum(-r, 0.0)
             y[p] = 1.0
-            if not _certifies_infeasible(model, eq, y):
-                return None
-            return _best_iterate(model, eq, xp, iterates, step)
+            if _certifies_infeasible(model, eq, y):
+                return _best_iterate(model, eq, xp, iterates, step, "infeasible")
+            break
         else:
             # a_p lies in the span of the active rows: move the multipliers only
             full, t = False, t1
@@ -606,8 +451,8 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
             keep = np.arange(active.size) != ratios.argmin()
             active, u = active[keep], u[keep]
         if not (np.isfinite(w).all() and np.isfinite(u).all() and np.isfinite(up)):
-            return None
-    return None
+            break
+    return _best_iterate(model, eq, xp, iterates, step, "max_iter")
 
 
 def _active_set_point(model, eq, xp, w, active, u, p=-1, up=0.0):
@@ -622,7 +467,10 @@ def _active_set_point(model, eq, xp, w, active, u, p=-1, up=0.0):
 
 
 def _certify_active_set(model, tol, eq, xp, w, active, u, steps):
-    """Certify a point that violates no row, or polish it with S as equality rows."""
+    """Certify a point that violates no row, or polish it with S as equality rows.
+
+    Returns None when neither point is certified.
+    """
     ext = _extended(model)
     x, mu, y = _active_set_point(model, eq, xp, w, active, u)
     err = _kkt_error(ext, x, mu, y)
@@ -644,12 +492,17 @@ def _certify_active_set(model, tol, eq, xp, w, active, u, steps):
     return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=steps)
 
 
-def _best_iterate(model, eq, xp, iterates, steps):
-    """The "infeasible" answer: the first iterate with the smallest KKT violation."""
+def _best_iterate(model, eq, xp, iterates, steps, status):
+    """An answer that is not "optimal": the first iterate with the smallest KKT violation.
+
+    Before the first step there is no iterate, and the answer is xp with
+    zero multipliers.
+    """
     ext = _extended(model)
+    iterates = iterates or [(np.zeros(eq.z.shape[1]), np.zeros(0, dtype=np.intp), np.zeros(0))]
     points = [_active_set_point(model, eq, xp, *it) for it in iterates]
     err, (x, mu, y) = min(((_kkt_error(ext, *pt), pt) for pt in points), key=lambda e: e[0])
-    return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="infeasible", iterations=steps)
+    return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status=status, iterations=steps)
 
 
 def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
@@ -657,10 +510,10 @@ def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
 
     ``status`` is "optimal" only when the KKT violation of the returned
     point is <= tol.  Inconsistent equality rows end "infeasible" at once.
-    Otherwise a run is "infeasible" when a dual vector, the active-set
-    route's ray or an interior-point iterate, proves that every point
-    violates the linearized constraints by more than 1e-8 in total, and
-    "max_iter" when both routes end without a certificate.
+    Otherwise a run is "infeasible" when the active-set route's dual ray
+    proves that every point violates the linearized constraints by more
+    than 1e-8 in total, and "max_iter" when the route ends without a
+    certificate.
     Raises ValueError for a tol that is not positive and finite, and names
     a block with a nonfinite entry.
     """
@@ -681,5 +534,4 @@ def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
     if m == 0:
         return _solve_equality_qp(model, tol, eq)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sol = _solve_active_set(model, tol, eq, xp)
-    return sol if sol is not None else _solve_ipm(model, tol, eq, xp)
+        return _solve_active_set(model, tol, eq, xp)

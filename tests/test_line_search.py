@@ -193,4 +193,4 @@ def test_records_carry_merit_evals_and_qp_iterations():
     assert trace.records
     for rec in trace.records:
         assert rec.backtracks + 1 <= rec.merit_evals <= 2 * rec.backtracks + 1
-        assert rec.qp_iterations >= 1  # inequality rows: the interior-point route
+        assert rec.qp_iterations >= 1  # inequality rows: active-set steps

@@ -206,7 +206,7 @@ def _oblique_problem(seed):
 def test_subproblem_does_not_depend_on_the_tangent_basis():
     # modify_hessian is orthogonally equivariant, so the QR and the per-row
     # Householder bases give one ambient step, multipliers and <B d, d> up to
-    # rounding, on the interior-point route as on the equality route
+    # rounding, on the active-set route as on the equality route
     def subproblem(prob, x, eta, basis, delta, tol):
         b = m.modify_hessian(m.lagrangian_hessian_matrix(prob, x, eta, basis), delta)
         sol = m.solve_qp(m.build_subproblem(prob, x, basis, b), tol)
