@@ -479,10 +479,21 @@ def _degenerate_models():
 def test_degenerate_models_emit_no_runtime_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        # and a finite, badly scaled stress draw (H, c and b scaled by
-        # ~4e182, A_ineq by ~5e42)
-        for model in _degenerate_models() + [_stress_models(135)[134]]:
+        for model in _degenerate_models():
             assert m.solve_qp(model, 1e-10).status in ("optimal", "infeasible", "max_iter")
+
+
+def test_overflowing_centering_parameter_ends_the_path():
+    # a finite, badly scaled model (H, c and b scaled by ~4e182, A_ineq by
+    # ~5e42) on which an interior-point path once overflowed its centering
+    # parameter: the active-set route decides it without a RuntimeWarning
+    # or an OverflowError out of solve_qp
+    model = _stress_models(135)[134]
+    assert model.dims == (2, 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = m.solve_qp(model, 1e-10)
+    assert sol.status in ("infeasible", "max_iter")
 
 
 def _equality_only(model):
