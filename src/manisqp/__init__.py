@@ -7,7 +7,6 @@ from .manifolds import (
     Oblique,
     RankDropError,
     Sphere,
-    TangentBasis,
     TangentVector,
     exp_map,
     inner,
@@ -16,7 +15,6 @@ from .manifolds import (
     qr_basis,
     random_point,
     retract,
-    retract_ray,
 )
 from .problem import (
     ConstraintBlock,

@@ -17,10 +17,15 @@ and basis coordinate arithmetic uniform across manifolds at the matrix
 sizes this package targets.
 
 Each manifold builds its own seeded orthonormal tangent basis
-(``Manifold.tangent_basis``).  Oblique and Sphere take, row by row, the
+(``Manifold.tangent_basis``): Oblique and Sphere take, row by row, the
 Householder completion of the row to an orthonormal basis of R^s, turned by
 a random orthogonal factor per row; Euclidean and FixedRank QR-factor
-projected Gaussian draws (``qr_basis``).
+projected Gaussian draws (``qr_basis``).  The basis is a read-only (dim, N)
+array of the raveled basis vectors, N the ambient size: a tangent array v
+has coordinates ``basis @ v.ravel()``, and coefficients c give the tangent
+array ``(c @ basis).reshape(x.ambient.shape)``.  ``TangentBasis`` and
+``retract_ray`` have left the public API; a ray of retractions is one
+``Manifold.retract_stack`` call.
 
 Oblique and Sphere reduce along rows.  A row shorter than 8 entries is
 summed by ``_row_sum`` as column slices added in numpy's own sequential
@@ -42,12 +47,10 @@ __all__ = [
     "FixedRank",
     "ManifoldPoint",
     "TangentVector",
-    "TangentBasis",
     "RankDropError",
     "inner",
     "project_tangent",
     "retract",
-    "retract_ray",
     "exp_map",
     "orthonormal_basis",
     "qr_basis",
@@ -118,6 +121,12 @@ class TangentVector:
     point: ManifoldPoint
     data: np.ndarray
 
+    def __post_init__(self):
+        if np.shape(self.data) != self.point.ambient.shape:
+            raise ValueError(
+                f"tangent data of shape {np.shape(self.data)} at a point of shape {self.point.ambient.shape}"
+            )
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
 
@@ -144,33 +153,6 @@ def inner(u: TangentVector, v: TangentVector) -> float:
     """Riemannian inner product (the ambient one, restricted)."""
     _check_anchor(u, v)
     return float(np.dot(u.data.ravel(), v.data.ravel()))
-
-
-@dataclass(frozen=True, eq=False)
-class TangentBasis:
-    """An orthonormal basis of a tangent space.
-
-    ``matrix`` holds the ``manifold.dim`` raveled basis vectors as rows, so
-    coordinates of a tangent vector are a single matrix-vector product.
-    """
-
-    point: ManifoldPoint
-    matrix: np.ndarray
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    def coords(self, v: TangentVector) -> np.ndarray:
-        if not _same_point(v.point, self.point):
-            raise ValueError("tangent vector is not anchored at the basis point")
-        return self.matrix @ v.data.ravel()
-
-    def from_coords(self, coeffs: np.ndarray) -> TangentVector:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (len(self),):
-            raise ValueError("coefficient vector has wrong length")
-        data = (coeffs @ self.matrix).reshape(self.point.ambient.shape)
-        return TangentVector(self.point, _readonly(data))
 
 
 class Manifold:
@@ -222,7 +204,7 @@ class Manifold:
     def exp_array(self, x: ManifoldPoint, a: np.ndarray) -> ManifoldPoint:
         raise NotImplementedError(f"{type(self).__name__} has no exponential map")
 
-    def tangent_basis(self, x: ManifoldPoint, seed) -> "TangentBasis":
+    def tangent_basis(self, x: ManifoldPoint, seed) -> np.ndarray:
         """An orthonormal basis of T_x, deterministic for a fixed seed: the QR draw."""
         return qr_basis(x, seed)
 
@@ -345,9 +327,9 @@ class Oblique(Manifold):
                 rot *= np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
             rows = np.arange(q)
             out[rows, :, rows, :] = rot @ t
-        matrix = out.reshape(q * k, q * s)  # a view: no copy of the dense basis
-        matrix.setflags(write=False)
-        return TangentBasis(x, matrix)
+        basis = out.reshape(q * k, q * s)  # a view: no copy of the dense basis
+        basis.setflags(write=False)
+        return basis
 
     def random_array(self, rng):
         z = rng.standard_normal(self.ambient_shape)
@@ -487,16 +469,6 @@ def retract(x: ManifoldPoint, xi: TangentVector) -> ManifoldPoint:
     return x.manifold.retract_array(x, xi.data)
 
 
-def retract_ray(x: ManifoldPoint, xi: TangentVector, ts):
-    """Retractions of t * xi at x for every t of ts, as one stacked computation.
-
-    Returns what ``Manifold.retract_stack`` returns: (ys, kept, point).
-    """
-    if not _same_point(xi.point, x):
-        raise ValueError("tangent vector is not anchored at the given point")
-    return x.manifold.retract_stack(x, np.multiply.outer(ts, xi.data))
-
-
 def exp_map(x: ManifoldPoint, xi: TangentVector) -> ManifoldPoint:
     if not _same_point(xi.point, x):
         raise ValueError("tangent vector is not anchored at the given point")
@@ -508,9 +480,10 @@ def random_point(manifold: Manifold, seed) -> ManifoldPoint:
     return manifold.random_array(rng)
 
 
-def orthonormal_basis(x: ManifoldPoint, seed) -> TangentBasis:
+def orthonormal_basis(x: ManifoldPoint, seed) -> np.ndarray:
     """A random orthonormal basis of T_x, deterministic for a fixed seed.
 
+    The basis vectors are the rows of a read-only (dim, N) array, raveled.
     Built by the manifold (``Manifold.tangent_basis``): on Oblique and
     Sphere the per-row Householder basis, whose per-row rotation the seed
     picks; elsewhere the QR draw of ``qr_basis``.
@@ -518,7 +491,7 @@ def orthonormal_basis(x: ManifoldPoint, seed) -> TangentBasis:
     return x.manifold.tangent_basis(x, seed)
 
 
-def qr_basis(x: ManifoldPoint, seed) -> TangentBasis:
+def qr_basis(x: ManifoldPoint, seed) -> np.ndarray:
     """Draw a random orthonormal basis of T_x by QR.
 
     ``dim`` Gaussian ambient candidates are projected to the tangent space
@@ -536,5 +509,5 @@ def qr_basis(x: ManifoldPoint, seed) -> TangentBasis:
         q, r = np.linalg.qr(cands.T)
         diag = np.diag(r)
         if np.all(np.abs(diag) >= GRAM_SCHMIDT_REJECT):
-            return TangentBasis(x, _readonly((q * np.sign(diag)).T))
+            return _readonly((q * np.sign(diag)).T)
     raise RuntimeError("orthonormal basis generation failed to converge")

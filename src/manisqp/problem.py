@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .manifolds import POINT_TOL, Manifold, ManifoldPoint, TangentBasis, TangentVector, project_tangent
+from .manifolds import POINT_TOL, Manifold, ManifoldPoint, TangentVector, project_tangent
 
 __all__ = [
     "SmoothFunction",
@@ -216,10 +216,11 @@ def riemannian_gradient(prob: Problem, x: ManifoldPoint, which: GradientSelector
     return project_tangent(x, blocks[kind].scalar(idx).gradient(x.ambient))
 
 
-def lagrangian_hessian_matrix(prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: TangentBasis) -> np.ndarray:
+def lagrangian_hessian_matrix(prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: np.ndarray) -> np.ndarray:
     """Coordinate matrix of the Riemannian Hessian of the Lagrangian.
 
-    Entry (i, j) is <Hess L(x)[e_i], e_j> in the given orthonormal basis.
+    Entry (i, j) is <Hess L(x)[e_i], e_j> in the given orthonormal basis,
+    whose raveled vectors e_i are the rows of the (d, N) array ``basis``.
     Hess L(x)[e] is P_x(ambient Hessian of L applied to e) plus the
     manifold's curvature term W_x(e, ambient gradient of L).  The basis
     vectors are tangent and P_x is an orthogonal projection, so
@@ -229,15 +230,15 @@ def lagrangian_hessian_matrix(prob: Problem, x: ManifoldPoint, eta: Multipliers,
     nothing.  The result is symmetrized by averaging.
     """
     xa = x.ambient
-    d = len(basis)
-    stack = basis.matrix.reshape(d, *xa.shape)
+    d = basis.shape[0]
+    stack = basis.reshape(d, *xa.shape)
     grad = _lagrangian_gradient(prob, xa, eta)
     hess = np.zeros(stack.shape)
     for block, w in ((prob.obj, _ONE), (prob.ineq, eta.mu), (prob.eq, eta.lam)):
         if block.weighted_hessian is not None and np.any(w):
             hess = hess + block.weighted_hessian(xa, w, stack)
     hess = hess + prob.manifold.weingarten(x, stack, grad)
-    mat = hess.reshape(d, xa.size) @ basis.matrix.T
+    mat = hess.reshape(d, xa.size) @ basis.T
     return (mat + mat.T) / 2.0
 
 
@@ -290,8 +291,7 @@ def kkt_residual(prob: Problem, x: ManifoldPoint, eta: Multipliers) -> KktReport
     if eta.mu.shape != (prob.m,) or eta.lam.shape != (prob.n,):
         raise ValueError("multiplier lengths do not match the problem")
     g, h = constraint_values(prob, x)
-    grad_l = riemannian_gradient(prob, x, eta)
-    stat = grad_l.norm()
+    stat = float(np.linalg.norm(x.manifold.project_array(x, _lagrangian_gradient(prob, x.ambient, eta))))
     primal = np.maximum(g, 0.0)
     dual = np.maximum(-eta.mu, 0.0)
     ineq = math.sqrt(float(np.dot(primal, primal) + np.dot(dual, dual)))

@@ -28,7 +28,7 @@ d = x_p + Z w (Z is the identity and x_p zero without equality rows):
   equalities; a dependent row that no active row can make room for gives
   a dual ray for the infeasibility test below.  What the route does not
   decide (step limit, failed factorization, nonfinite intermediate,
-  uncertified point, rejected ray) ends "max_iter" at its best iterate.
+  uncertified point, rejected ray) ends "max_iter" at its last iterate.
 
 Infeasibility is decided by dual vectors y >= 0 of the inequality rows: by
 weak duality of the elastic LP that minimizes the total constraint
@@ -46,7 +46,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
-from .manifolds import ManifoldPoint, TangentBasis, _readonly
+from .manifolds import ManifoldPoint, _readonly
 from .problem import Multipliers, Problem, constraint_values
 
 __all__ = [
@@ -117,7 +117,7 @@ class QpSolution:
     """Result of ``solve_qp``.
 
     ``d`` and ``eta`` are the certified point when ``status`` is "optimal",
-    otherwise the iterate with the smallest KKT violation ``kkt_error``.
+    otherwise the route's last iterate, with its KKT violation ``kkt_error``.
     ``iterations`` counts the iterations run: active-set steps (the first
     examines the unconstrained minimizer; 0 when the route fails before it),
     or 1 for a saddle-point solve; it is 0 when the equality rows are
@@ -155,8 +155,8 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def build_subproblem(prob: Problem, x: ManifoldPoint, basis: TangentBasis, h_plus: np.ndarray) -> QpModel:
-    """Linearize the problem at x in the basis coordinates.
+def build_subproblem(prob: Problem, x: ManifoldPoint, basis: np.ndarray, h_plus: np.ndarray) -> QpModel:
+    """Linearize the problem at x in the coordinates of the (d, N) tangent basis.
 
     The linear term and constraint rows are coordinates of the respective
     Riemannian gradients; since the basis is tangent, they equal the plain
@@ -165,16 +165,16 @@ def build_subproblem(prob: Problem, x: ManifoldPoint, basis: TangentBasis, h_plu
     sides are the negated constraint values, so the model constraints read
     g_i + <grad g_i, d> <= 0 and h_j + <grad h_j, d> = 0.
     """
-    d = len(basis)
+    d = basis.shape[0]
     h_plus = np.asarray(h_plus, dtype=float)
     if h_plus.shape != (d, d):
         raise ValueError("Hessian model has wrong shape for the basis")
     if h_plus.size and np.max(np.abs(h_plus - h_plus.T)) > SYMMETRY_TOL:
         raise ValueError("Hessian model is not symmetric")
     xa = x.ambient
-    bm = basis.matrix
     g, h = constraint_values(prob, x)
-    return QpModel(H=h_plus, c=prob.obj.rows(xa, bm), A_ineq=prob.ineq.rows(xa, bm), b_ineq=-g, A_eq=prob.eq.rows(xa, bm), b_eq=-h)
+    c, ai, ae = (block.rows(xa, basis) for block in (prob.obj, prob.ineq, prob.eq))
+    return QpModel(H=h_plus, c=c, A_ineq=ai, b_ineq=-g, A_eq=ae, b_eq=-h)
 
 
 def _extended(model: QpModel) -> tuple[np.ndarray, ...]:
@@ -370,9 +370,9 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
     dependent row with no row to drop gives the dual ray y_p = 1,
     y_S = max(-r, 0), which only ``_certifies_infeasible`` can accept.
 
-    Ends "max_iter" at its best iterate where it decides nothing: at the
-    step limit, a failed factorization, a nonfinite intermediate, an
-    uncertified point or a rejected ray.
+    Ends "max_iter" where it decides nothing (step limit, failed
+    factorization, nonfinite intermediate, uncertified point, rejected
+    ray); that answer and an "infeasible" one are its last iterate.
     """
     H, c = model.H, model.c
     ai, bi = model.A_ineq, model.b_ineq
@@ -381,10 +381,11 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
     dr = zb.shape[1]
     hr, ar = zb.T @ H @ zb, ai @ zb
     br = bi - ai @ xp
+    last = (np.zeros(dr), np.zeros(0, dtype=np.intp), np.zeros(0))  # xp, before the first step
     if dr:  # LAPACK rejects an empty matrix
         cf, info = dpotrf(hr, lower=False, clean=True)
         if info:
-            return _best_iterate(model, eq, xp, [], 0, "max_iter")
+            return _undecided(model, eq, xp, last, 0, "max_iter")
         sol = dpotrs(cf, np.column_stack([zb.T @ (H @ xp + c), ar.T]), lower=False)[0]
         w, g = -sol[:, 0], sol[:, 1:]
     else:
@@ -392,14 +393,14 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
     # the rows' inner products in the metric of H_r^-1
     cm = ar @ g
     if not (np.isfinite(cm).all() and np.isfinite(w).all()):
-        return _best_iterate(model, eq, xp, [], 0, "max_iter")
+        return _undecided(model, eq, xp, last, 0, "max_iter")
 
     active = np.zeros(0, dtype=np.intp)  # the active rows S, in the order they were added
     u = np.zeros(0)  # their multipliers
     p, up = -1, 0.0  # the row being added and its multiplier
-    iterates = []  # (w, active, u, p, up) per step, for an answer that is not optimal
+    status = "max_iter"
     for step in range(1, _AS_MAX_STEPS + 1):
-        iterates.append((w, active, u, p, up))
+        last = (w, active, u, p, up)  # the iterate an answer that is not optimal reports
         if p < 0:
             viol = ar @ w - br
             viol[active] = -np.inf
@@ -434,7 +435,7 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
             y[active] = np.maximum(-r, 0.0)
             y[p] = 1.0
             if _certifies_infeasible(model, eq, y):
-                return _best_iterate(model, eq, xp, iterates, step, "infeasible")
+                status = "infeasible"
             break
         else:
             # a_p lies in the span of the active rows: move the multipliers only
@@ -452,7 +453,7 @@ def _solve_active_set(model: QpModel, tol: float, eq: _RowFactor, xp: np.ndarray
             active, u = active[keep], u[keep]
         if not (np.isfinite(w).all() and np.isfinite(u).all() and np.isfinite(up)):
             break
-    return _best_iterate(model, eq, xp, iterates, step, "max_iter")
+    return _undecided(model, eq, xp, last, step, status)
 
 
 def _active_set_point(model, eq, xp, w, active, u, p=-1, up=0.0):
@@ -492,16 +493,10 @@ def _certify_active_set(model, tol, eq, xp, w, active, u, steps):
     return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=steps)
 
 
-def _best_iterate(model, eq, xp, iterates, steps, status):
-    """An answer that is not "optimal": the first iterate with the smallest KKT violation.
-
-    Before the first step there is no iterate, and the answer is xp with
-    zero multipliers.
-    """
-    ext = _extended(model)
-    iterates = iterates or [(np.zeros(eq.z.shape[1]), np.zeros(0, dtype=np.intp), np.zeros(0))]
-    points = [_active_set_point(model, eq, xp, *it) for it in iterates]
-    err, (x, mu, y) = min(((_kkt_error(ext, *pt), pt) for pt in points), key=lambda e: e[0])
+def _undecided(model, eq, xp, last, steps, status):
+    """An answer that is not "optimal", at the active-set iterate last = (w, active, u, p, up)."""
+    x, mu, y = _active_set_point(model, eq, xp, *last)
+    err = kkt_violation(model, x, mu, y)
     return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status=status, iterations=steps)
 
 

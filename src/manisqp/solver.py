@@ -35,14 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .manifolds import (
-    ManifoldPoint,
-    RankDropError,
-    TangentBasis,
-    orthonormal_basis,
-    retract,
-    retract_ray,
-)
+from .manifolds import ManifoldPoint, RankDropError, TangentVector, orthonormal_basis, retract
 from .problem import (
     KktReport,
     Multipliers,
@@ -219,7 +212,8 @@ class LineSearchResult:
 def line_search(prob, x, direction, quad_form, rho, cfg) -> LineSearchResult:
     """Backtracking Armijo search along a retracted ray.
 
-    Finds the smallest r >= 0 with
+    ``direction`` is the tangent step d as an array of the point's ambient
+    shape.  Finds the smallest r >= 0 with
     gamma * beta^r * quad_form <= P_rho(x) - P_rho(retract(x, beta^r * d)),
     raising RankDropError if a retraction before it drops rank and
     StallError if no r up to cfg.max_backtracks qualifies.  Candidates are
@@ -228,6 +222,9 @@ def line_search(prob, x, direction, quad_form, rho, cfg) -> LineSearchResult:
     """
     if not 0.0 < quad_form < math.inf:  # written so that NaN is rejected too
         raise ValueError("quad_form must be positive and finite")
+    direction = np.asarray(direction, dtype=float)
+    if direction.shape != x.ambient.shape:
+        raise ValueError(f"direction of shape {direction.shape} at a point of shape {x.ambient.shape}")
     base = merit(prob, x, rho)
     reject = None
     chunks = itertools.chain(LINE_SEARCH_CHUNKS, itertools.repeat(LINE_SEARCH_CHUNKS[-1]))
@@ -235,7 +232,7 @@ def line_search(prob, x, direction, quad_form, rho, cfg) -> LineSearchResult:
     while r0 <= cfg.max_backtracks:
         rs = range(r0, min(r0 + next(chunks), cfg.max_backtracks + 1))
         ts = np.array([cfg.beta**r for r in rs])
-        ys, kept, point = retract_ray(x, direction, ts)
+        ys, kept, point = x.manifold.retract_stack(x, np.multiply.outer(ts, direction))
         merits = merit_stack(prob, ys, rho)
         # the first candidate that drops rank or passes the Armijo test decides
         stop = np.flatnonzero(~kept | (base - merits >= cfg.gamma * ts * quad_form))
@@ -270,7 +267,7 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
             raise StallError("Lagrangian Hessian has nonfinite entries")
         b = modify_hessian(hl, cfg.delta)
     else:
-        b = np.eye(len(basis))
+        b = np.eye(basis.shape[0])
 
     model = build_subproblem(prob, x, basis, b)
     try:
@@ -295,7 +292,7 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
         m_here = merit(prob, x, rho)
         ls = LineSearchResult(0.0, 0, x, m_here, m_here, None, 0)
     else:
-        ls = line_search(prob, x, basis.from_coords(d_hat), quad_form, rho, cfg)
+        ls = line_search(prob, x, (d_hat @ basis).reshape(x.ambient.shape), quad_form, rho, cfg)
     report = kkt_residual(prob, ls.x_next, eta_next)
     record = IterationRecord(
         k=k,
@@ -373,8 +370,8 @@ def solve(prob: Problem, x0: ManifoldPoint, eta0: Multipliers | None = None, cfg
     return state, trace
 
 
-def newton_kkt_step(prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: TangentBasis):
-    """One Newton iteration on the KKT system in basis coordinates.
+def newton_kkt_step(prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: np.ndarray):
+    """One Newton iteration on the KKT system in the coordinates of the (d, N) tangent basis.
 
     All constraints are kept as equalities and the Lagrangian Hessian enters
     unmodified, so this is the local method the globalized iteration is
@@ -382,7 +379,7 @@ def newton_kkt_step(prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: Ta
     Raises numpy.linalg.LinAlgError when the KKT matrix is singular, which
     signals a constraint-qualification or second-order failure at x.
     """
-    d = len(basis)
+    d = basis.shape[0]
     m, n = prob.m, prob.n
     hl = lagrangian_hessian_matrix(prob, x, eta, basis)
     model = build_subproblem(prob, x, basis, hl)
@@ -425,6 +422,6 @@ def newton_kkt_step(prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: Ta
             "conditions fail at this point"
         )
 
-    x_next = retract(x, basis.from_coords(z[:d]))
+    x_next = retract(x, TangentVector(x, (z[:d] @ basis).reshape(x.ambient.shape)))
     eta_next = Multipliers(eta.mu + z[d : d + m], eta.lam + z[d + m :])
     return x_next, eta_next

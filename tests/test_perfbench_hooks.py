@@ -34,4 +34,4 @@ def test_traced_benchmark_runs(workload):
     steps = metrics["solver.iterations"] + metrics["instances.start_steps"]
     assert steps > 0
     assert metrics["manifolds.basis_calls"] == pytest.approx(steps, rel=1e-12)
-    assert metrics["qp.solve_calls"] > 0
+    assert metrics["qp.solve_calls"] == pytest.approx(steps, rel=1e-12)

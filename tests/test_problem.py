@@ -99,10 +99,10 @@ def test_lagrangian_hessian_matches_the_per_row_formula():
         coefs = np.concatenate(([1.0], eta.mu, eta.lam))
         grad = sum(c * fn.gradient(xa) for c, fn in zip(coefs, fns))
         rows = []
-        for b in basis.matrix:
+        for b in basis:
             e = b.reshape(xa.shape)
             hv = sum(c * fn.hess_vec(xa, e) for c, fn in zip(coefs, fns))
-            rows.append(basis.matrix @ (man.project_array(x, hv) + man.weingarten(x, e, grad)).ravel())
+            rows.append(basis @ (man.project_array(x, hv) + man.weingarten(x, e, grad)).ravel())
         expected = (np.array(rows) + np.array(rows).T) / 2.0
         hl = m.lagrangian_hessian_matrix(prob, x, eta, basis)
         assert np.max(np.abs(hl - expected)) < 1e-12 * (1.0 + np.linalg.norm(expected)), name
@@ -118,7 +118,7 @@ def test_lagrangian_hessian_keeps_curved_constraint_hessians():
         mu, lam = rng.random() + 0.1, rng.normal() + 0.5
         eta = m.Multipliers(np.array([mu]), np.array([lam]))
         basis = m.orthonormal_basis(x, 32 + trial)
-        expected = basis.matrix @ (2.0 * mu * np.eye(2) + lam * np.diag([-2.0, 0.0])) @ basis.matrix.T
+        expected = basis @ (2.0 * mu * np.eye(2) + lam * np.diag([-2.0, 0.0])) @ basis.T
         hl = m.lagrangian_hessian_matrix(prob, x, eta, basis)
         assert np.max(np.abs(hl - expected)) < 1e-14
         v = rng.normal(size=2)
@@ -173,7 +173,7 @@ def test_constraint_blocks_match_the_scalar_formulas(name):
         x = m.random_point(prob.manifold, 40 + seed)
         xa = x.ambient
         basis = m.orthonormal_basis(x, 50 + seed)
-        model = m.build_subproblem(prob, x, basis, np.eye(len(basis)))
+        model = m.build_subproblem(prob, x, basis, np.eye(basis.shape[0]))
         g, h = m.constraint_values(prob, x)
         for kind, values, rows, views in (
             # the merit at rho = 0 is the objective value the line search reads
@@ -183,11 +183,11 @@ def test_constraint_blocks_match_the_scalar_formulas(name):
         ):
             scalars = fns[kind]
             if not scalars:
-                assert values.shape == (0,) and rows.shape == (0, len(basis))
+                assert values.shape == (0,) and rows.shape == (0, basis.shape[0])
                 continue
             grads = np.array([grad(xa).ravel() for _, grad in scalars])
             # the linear term of the model is the coordinate vector bm @ grad
-            expected = (basis.matrix @ grads[0])[None] if kind == "objective" else grads @ basis.matrix.T
+            expected = (basis @ grads[0])[None] if kind == "objective" else grads @ basis.T
             assert np.array_equal(rows, expected)
             assert np.array_equal(values, [value(xa) for value, _ in scalars])
             assert np.array_equal(values, [view.value(xa) for view in views])

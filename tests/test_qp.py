@@ -104,7 +104,7 @@ def test_build_subproblem_unconstrained_euclidean_canonical():
     )
     prob = m.Problem(man, obj)
     x = man.point(np.array([0.3, -0.5]))
-    basis = m.TangentBasis(x, np.eye(2))
+    basis = np.eye(2)
     model = m.build_subproblem(prob, x, basis, np.eye(2))
     assert model.dims == (2, 0, 0)
     assert np.max(np.abs(model.c - np.array([0.6, -1.0]))) < 1e-15
@@ -126,7 +126,7 @@ def test_build_subproblem_sphere_example():
         hess_vec=lambda x, v: np.zeros(3),
     )
     prob = m.Problem(man, obj, (g1,), ())
-    basis = m.TangentBasis(x, np.eye(3)[:2])
+    basis = np.eye(3)[:2]
     model = m.build_subproblem(prob, x, basis, np.eye(2))
     assert np.max(np.abs(model.A_ineq - np.array([[1.0, 0.0]]))) < 1e-15
     assert np.max(np.abs(model.b_ineq - np.array([0.0]))) < 1e-15
@@ -700,7 +700,7 @@ def test_infeasible_model_is_decided_by_the_active_set_ray(monkeypatch):
 
 def test_active_set_route_at_its_step_limit_answers_itself(monkeypatch):
     # with one step allowed, every model is answered within it: certified,
-    # "infeasible" by its equality rows, or "max_iter" at the best iterate
+    # "infeasible" by its equality rows, or "max_iter" at the last iterate
     monkeypatch.setattr(qp, "_AS_MAX_STEPS", 1)
     models = _seeded_models() + _degenerate_models()
     statuses = []
@@ -712,6 +712,29 @@ def test_active_set_route_at_its_step_limit_answers_itself(monkeypatch):
         if np.isfinite(sol.kkt_error):  # inf only for inconsistent equality rows
             assert sol.kkt_error == m.kkt_violation(model, sol.d, sol.eta.mu, sol.eta.lam), i
     assert statuses.count("max_iter") >= 40
+
+
+def test_undecided_answer_is_the_last_iterate(monkeypatch):
+    # min |d - 10 e|^2 / 2 s.t. d <= 0 adds one row per step: five steps
+    # and a sixth that certifies; cut at three, the answer is the iterate
+    # the third step started from, and its KKT violation is taken once
+    model = m.QpModel(np.eye(5), -10.0 * np.ones(5), np.eye(5), np.zeros(5), np.zeros((0, 5)), np.zeros(0))
+    sol = m.solve_qp(model, 1e-10)
+    assert sol.status == "optimal" and sol.iterations == 6
+    calls = []
+    kkt_error = qp._kkt_error
+
+    def counted(*args):
+        calls.append(1)
+        return kkt_error(*args)
+
+    monkeypatch.setattr(qp, "_AS_MAX_STEPS", 3)
+    monkeypatch.setattr(qp, "_kkt_error", counted)
+    sol = m.solve_qp(model, 1e-10)
+    assert sol.status == "max_iter" and sol.iterations == 3
+    assert len(calls) == 1
+    assert sol.kkt_error == m.kkt_violation(model, sol.d, sol.eta.mu, sol.eta.lam)
+    assert np.count_nonzero(sol.eta.mu) == 2
 
 
 def test_active_set_route_certifies_what_the_interior_point_leaves_uncertified():

@@ -7,6 +7,8 @@ variant (objective times 5) forces the penalty update to fire on the first
 iteration, which pins the ratchet formula rho = upsilon + epsilon.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -108,8 +110,8 @@ def test_update_penalty_is_nondecreasing():
 def test_line_search_accepts_full_step_with_default_gamma():
     prob = euclidean_toy()
     x = prob.manifold.point(np.array([1.0, 0.0]))
-    d = m.TangentVector(x, np.array([-0.5, 0.5]))  # toward the solution
-    quad = 2.0 * float(d.data @ d.data)  # d' H d with H = 2 I
+    d = np.array([-0.5, 0.5])  # toward the solution
+    quad = 2.0 * float(d @ d)  # d' H d with H = 2 I
     cfg = m.SolverConfig(gamma=0.25, beta=0.9)
     res = m.line_search(prob, x, d, quad, rho=1.0, cfg=cfg)
     assert res.alpha == 1.0
@@ -130,7 +132,7 @@ def test_line_search_backtrack_count_hand_derived():
     )
     prob = m.Problem(man, obj)
     x = man.point(np.array([1.0]))
-    d = m.TangentVector(x, np.array([-1.0]))
+    d = np.array([-1.0])
     cfg = m.SolverConfig(gamma=0.9, beta=0.9)
     res = m.line_search(prob, x, d, 2.0, rho=1.0, cfg=cfg)
     assert res.backtracks == 16
@@ -141,7 +143,7 @@ def test_line_search_backtrack_count_hand_derived():
 def test_line_search_requires_descent_model():
     prob = euclidean_toy()
     x = prob.manifold.point(np.array([1.0, 0.0]))
-    d = m.TangentVector(x, np.array([-0.5, 0.5]))
+    d = np.array([-0.5, 0.5])
     # NaN fails every comparison and +inf is no finite model: both are
     # rejected up front, not searched until the backtrack budget runs out
     for quad_form in (0.0, -1.0, float("nan"), float("inf")):
@@ -159,10 +161,24 @@ def test_line_search_stalls_at_a_minimizer():
     )
     prob = m.Problem(man, obj)
     x = man.point(np.array([0.0]))
-    d = m.TangentVector(x, np.array([1.0]))
+    d = np.array([1.0])
     cfg = m.SolverConfig(max_backtracks=30)
     with pytest.raises(m.StallError):
         m.line_search(prob, x, d, 1.0, rho=1.0, cfg=cfg)
+
+
+def test_tangent_data_of_the_wrong_shape_is_rejected():
+    # at (2, -1) in R^2, a length-1 direction used to broadcast into a
+    # search that stalled after 200 backtracks, and a (1, 2) one to end in
+    # an IndexError; a tangent vector took either without a word
+    prob = euclidean_toy()
+    x = prob.manifold.point(np.array([2.0, -1.0]))
+    for data in (np.array([-0.5]), np.array([[-0.5, 0.5]])):
+        shapes = re.escape(f"of shape {data.shape} at a point of shape (2,)")
+        with pytest.raises(ValueError, match=shapes):
+            m.line_search(prob, x, data, 1.0, rho=1.0, cfg=m.SolverConfig())
+        with pytest.raises(ValueError, match=shapes):
+            m.TangentVector(x, data)
 
 
 def test_iteration_seed_changes_per_iteration():
@@ -171,8 +187,8 @@ def test_iteration_seed_changes_per_iteration():
     b0 = m.orthonormal_basis(x, m.iteration_seed(7, 0))
     b0_again = m.orthonormal_basis(x, m.iteration_seed(7, 0))
     b1 = m.orthonormal_basis(x, m.iteration_seed(7, 1))
-    assert np.array_equal(b0.matrix, b0_again.matrix)
-    assert not np.array_equal(b0.matrix, b1.matrix)
+    assert np.array_equal(b0, b0_again)
+    assert not np.array_equal(b0, b1)
 
 
 def _oblique_problem(seed):
@@ -211,7 +227,7 @@ def test_subproblem_does_not_depend_on_the_tangent_basis():
         b = m.modify_hessian(m.lagrangian_hessian_matrix(prob, x, eta, basis), delta)
         sol = m.solve_qp(m.build_subproblem(prob, x, basis, b), tol)
         assert sol.status == "optimal"
-        return basis.from_coords(sol.d).data, sol.eta.mu, sol.eta.lam, np.array([sol.d @ b @ sol.d])
+        return (sol.d @ basis).reshape(x.ambient.shape), sol.eta.mu, sol.eta.lam, np.array([sol.d @ b @ sol.d])
 
     tilt, _, _ = sphere_tilt()
     cases = []

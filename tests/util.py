@@ -137,5 +137,5 @@ def hessian_quadform(prob, x, eta, v, seed=0):
     """v' Hess_L v through the coordinate Hessian matrix."""
     basis = m.orthonormal_basis(x, seed)
     hl = m.lagrangian_hessian_matrix(prob, x, eta, basis)
-    q = basis.coords(v)
+    q = basis @ v.data.ravel()
     return float(q @ hl @ q)
