@@ -104,11 +104,10 @@ def _cmd_solve(parser, args) -> int:
 
 
 def _cmd_bench(parser, args) -> int:
-    with open(args.spec) as fh:
-        d = json.load(fh)
     try:
-        spec = RunSpec.from_dict(d)
-    except ValueError as exc:
+        with open(args.spec) as fh:
+            spec = RunSpec.from_dict(json.load(fh))
+    except ValueError as exc:  # invalid JSON too: json.JSONDecodeError is a ValueError
         parser.error(str(exc))
     summary, _ = run(spec, args.out)
     print(

@@ -333,7 +333,7 @@ _ZERO = _objective(values=lambda xs: np.zeros(len(xs)), gradient=lambda x: np.ze
 
 def _max_violation(prob: Problem, x: ManifoldPoint) -> float:
     g, h = constraint_values(prob, x)
-    return max(0.0, float(np.max(g, initial=0.0)), float(np.max(np.abs(h), initial=0.0)))
+    return float(np.max(np.concatenate([g, np.abs(h)]), initial=0.0))  # NaN propagates
 
 
 def feasible_start(
@@ -351,14 +351,16 @@ def feasible_start(
     infeasibly or stall; the phase then restarts from a fresh seeded point,
     with all attempts sharing the ``max_iter`` step budget.  Raises
     RuntimeError when the budget runs out before reaching tol, and
-    ValueError for a tol that is NaN or negative or a ``max_iter`` that is
-    not a nonnegative integer.
+    ValueError for a tol that is NaN or negative, a ``max_iter`` that is
+    not a nonnegative integer or an ``x0`` with nonfinite entries.
     """
     if not tol >= 0.0:  # written so that NaN is rejected too
         raise ValueError("tol must be nonnegative")
     require_integers(max_iter=max_iter)
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
+    if x0 is not None and not np.isfinite(x0.ambient).all():
+        raise ValueError("x0 has nonfinite entries")
     man = inst.manifold
     prob = completion_problem(inst)
     feas = Problem(manifold=man, objective=_ZERO, inequalities=prob.ineq, equalities=prob.eq)

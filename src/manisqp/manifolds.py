@@ -23,9 +23,8 @@ a random orthogonal factor per row; Euclidean and FixedRank QR-factor
 projected Gaussian draws (``qr_basis``).  The basis is a read-only (dim, N)
 array of the raveled basis vectors, N the ambient size: a tangent array v
 has coordinates ``basis @ v.ravel()``, and coefficients c give the tangent
-array ``(c @ basis).reshape(x.ambient.shape)``.  ``TangentBasis`` and
-``retract_ray`` have left the public API; a ray of retractions is one
-``Manifold.retract_stack`` call.
+array ``(c @ basis).reshape(x.ambient.shape)``.  A ray of retractions is
+one ``Manifold.retract_stack`` call.
 
 Oblique and Sphere reduce along rows.  A row shorter than 8 entries is
 summed by ``_row_sum`` as column slices added in numpy's own sequential

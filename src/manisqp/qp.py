@@ -19,7 +19,9 @@ d = x_p + Z w (Z is the identity and x_p zero without equality rows):
 
 * Problems without inequality rows reduce to a single saddle-point solve
   (null-space method with extended-precision refinement, the reduced
-  Hessian factored by LAPACK's Cholesky routines).
+  Hessian factored by LAPACK's Cholesky routines).  The Newton step of
+  ``solver.newton_kkt_step`` is such a problem, all of its constraints
+  stacked as equality rows.
 * Problems with inequality rows go to a dual active-set method (Goldfarb &
   Idnani, Math. Programming 27, 1983; ``_solve_active_set``): from the
   unconstrained minimizer it adds one violated row per step, and a few
@@ -177,33 +179,6 @@ def build_subproblem(prob: Problem, x: ManifoldPoint, basis: np.ndarray, h_plus:
     return QpModel(H=h_plus, c=c, A_ineq=ai, b_ineq=-g, A_eq=ae, b_eq=-h)
 
 
-def _extended(model: QpModel) -> tuple[np.ndarray, ...]:
-    """The model blocks (H, c, A_ineq, b_ineq, A_eq, b_eq) in extended precision."""
-    ld = np.longdouble
-    return tuple(a.astype(ld) for a in (model.H, model.c, model.A_ineq, model.b_ineq, model.A_eq, model.b_eq))
-
-
-def _kkt_error(ext: tuple[np.ndarray, ...], d: np.ndarray, mu: np.ndarray, lam: np.ndarray) -> float:
-    """``kkt_violation`` on blocks already cast by ``_extended``."""
-    ld = np.longdouble
-    H, c, ai, bi, ae, be = ext
-    dl = d.astype(ld)
-    stat = H @ dl + c
-    if mu.size:
-        stat = stat + ai.T @ mu.astype(ld)
-    if lam.size:
-        stat = stat + ae.T @ lam.astype(ld)
-    out = float(np.abs(stat).max()) if stat.size else 0.0
-    if lam.size:
-        out = max(out, float(np.abs(ae @ dl - be).max()))
-    if mu.size:
-        slack = ai @ dl - bi
-        out = max(out, float(max(0.0, slack.max())))
-        out = max(out, float(max(0.0, -mu.min())))
-        out = max(out, float(np.abs(mu.astype(ld) * slack).max()))
-    return out
-
-
 def kkt_violation(model: QpModel, d: np.ndarray, mu: np.ndarray, lam: np.ndarray) -> float:
     """Max-norm violation of the subproblem KKT conditions at (d, mu, lam).
 
@@ -211,7 +186,22 @@ def kkt_violation(model: QpModel, d: np.ndarray, mu: np.ndarray, lam: np.ndarray
     can be ~1e8 in norm, where float64 matrix-vector rounding alone would
     swamp a 1e-10 certificate.
     """
-    return _kkt_error(_extended(model), d, mu, lam)
+    ld = np.longdouble
+    ai, ae, dl = model.A_ineq.astype(ld), model.A_eq.astype(ld), d.astype(ld)
+    stat = model.H.astype(ld) @ dl + model.c.astype(ld)
+    if mu.size:
+        stat = stat + ai.T @ mu.astype(ld)
+    if lam.size:
+        stat = stat + ae.T @ lam.astype(ld)
+    out = float(np.abs(stat).max()) if stat.size else 0.0
+    if lam.size:
+        out = max(out, float(np.abs(ae @ dl - model.b_eq.astype(ld)).max()))
+    if mu.size:
+        slack = ai @ dl - model.b_ineq.astype(ld)
+        out = max(out, float(max(0.0, slack.max())))
+        out = max(out, float(max(0.0, -mu.min())))
+        out = max(out, float(np.abs(mu.astype(ld) * slack).max()))
+    return out
 
 
 def linprog(*args, **kwargs):
@@ -268,21 +258,20 @@ def _check_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _solve_saddle(H, eq: _RowFactor, r1, r2, hl, al, r1l, r2l):
-    """Solve [[H, A_eq^T], [A_eq, 0]] (x, y) = (r1, r2) by the null-space method.
+def _solve_saddle(H, eq: _RowFactor, rows, r1, r2):
+    """Solve [[H, A^T], [A, 0]] (x, y) = (r1, r2) by the null-space method, A = rows.
 
     Returns (x, y, residual), the residual being the max-norm of
-    (r1 - H x - A_eq^T y, r2 - A_eq x) in extended precision, rounded to
-    float64.  ``eq`` is the ``_RowFactor`` of A_eq, and ``hl``,
-    ``al``, ``r1l`` and ``r2l`` are H, A_eq, r1 and r2 in extended
-    precision.  Rank-deficient consistent rows are tolerated and get the
-    minimum-norm y.  The backward error is polished by iterative
-    refinement with extended-precision residuals: when H carries floored
-    eigenvalues near delta, the solution norm scales like 1/delta and a
-    single float64 pass would leave the residual orders above the attainable
-    floor.  The reduced Hessian is factored by LAPACK's Cholesky routines
-    directly, the ones ``scipy.linalg.cho_factor``/``cho_solve`` call, with
-    their finiteness checks; an indefinite one is solved symmetrically.
+    (r1 - H x - A^T y, r2 - A x) in extended precision, rounded to
+    float64.  ``eq`` is the ``_RowFactor`` of A.  Rank-deficient consistent
+    rows are tolerated and get the minimum-norm y.  The backward error is
+    polished by iterative refinement with extended-precision residuals: when
+    H carries floored eigenvalues near delta, the solution norm scales like
+    1/delta and a single float64 pass would leave the residual orders above
+    the attainable floor.  The reduced Hessian is factored by LAPACK's
+    Cholesky routines directly, the ones ``scipy.linalg.cho_factor``/
+    ``cho_solve`` call, with their finiteness checks; an indefinite one is
+    solved symmetrically, and a singular one raises LinAlgError.
     """
     d = r1.size
     n = eq.u.shape[0]
@@ -306,6 +295,7 @@ def _solve_saddle(H, eq: _RowFactor, r1, r2, hl, al, r1l, r2l):
         return x, eq.multipliers(r1_ - H @ x)
 
     ld = np.longdouble
+    hl, al, r1l, r2l = (a.astype(ld) for a in (H, rows, r1, r2))
     x, lam = direct(r1, r2)
     best = None
     for sweep in range(_REFINE_PASSES + 1):
@@ -326,15 +316,6 @@ def _solve_saddle(H, eq: _RowFactor, r1, r2, hl, al, r1l, r2l):
         x = x + dx
         lam = lam + dlam
     return best[1], best[2], best[0]
-
-
-def _solve_equality_qp(model: QpModel, tol: float, eq: _RowFactor) -> QpSolution:
-    # with r1 = -c and r2 = b_eq the refinement's residual is the KKT
-    # violation, in the same order of terms as ``_kkt_error``
-    hl, cl, _, _, al, bl = _extended(model)
-    x, lam, err = _solve_saddle(model.H, eq, -model.c, model.b_eq, hl, al, -cl, bl)
-    status = "optimal" if err <= tol else "max_iter"
-    return QpSolution(d=x, eta=Multipliers(np.zeros(0), lam), kkt_error=err, status=status, iterations=1)
 
 
 def _certifies_infeasible(model: QpModel, eq: _RowFactor, z: np.ndarray) -> bool:
@@ -472,22 +453,20 @@ def _certify_active_set(model, tol, eq, xp, w, active, u, steps):
 
     Returns None when neither point is certified.
     """
-    ext = _extended(model)
     x, mu, y = _active_set_point(model, eq, xp, w, active, u)
-    err = _kkt_error(ext, x, mu, y)
+    err = kkt_violation(model, x, mu, y)
     if not err <= tol:
         n = model.b_eq.size
         rows = np.vstack([model.A_eq, model.A_ineq[active]])
         rhs = np.concatenate([model.b_eq, model.b_ineq[active]])
-        ld = np.longdouble
         try:
-            x, lam, _ = _solve_saddle(model.H, _factor_rows(rows), -model.c, rhs, ext[0], rows.astype(ld), -ext[1], rhs.astype(ld))
+            x, lam, _ = _solve_saddle(model.H, _factor_rows(rows), rows, -model.c, rhs)
         except ValueError:  # a nonfinite reduced system
             return None
         mu[active] = np.where((lam[n:] > -MU_CLAMP) & (lam[n:] < 0.0), 0.0, lam[n:])
         # dependent equality rows get the minimum-norm multipliers
         y = lam[:n] if eq.sv.size == n else eq.multipliers(model.A_eq.T @ lam[:n])
-        err = _kkt_error(ext, x, mu, y)
+        err = kkt_violation(model, x, mu, y)
         if not err <= tol:
             return None
     return QpSolution(d=x, eta=Multipliers(mu, y), kkt_error=err, status="optimal", iterations=steps)
@@ -527,6 +506,10 @@ def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
             d=np.zeros(d), eta=Multipliers.zeros(m, n), kkt_error=float("inf"), status="infeasible", iterations=0
         )
     if m == 0:
-        return _solve_equality_qp(model, tol, eq)
+        # with r1 = -c and r2 = b_eq the refinement's residual is the KKT
+        # violation, in the same order of terms as ``kkt_violation``
+        x, lam, err = _solve_saddle(model.H, eq, model.A_eq, -model.c, model.b_eq)
+        status = "optimal" if err <= tol else "max_iter"
+        return QpSolution(d=x, eta=Multipliers(np.zeros(0), lam), kkt_error=err, status=status, iterations=1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _solve_active_set(model, tol, eq, xp)

@@ -69,6 +69,8 @@ class RunSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "RunSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"invalid run spec: expected an object, got {type(d).__name__}")
         d = dict(d)
         try:
             return RunSpec(solver=SolverConfig(**d.pop("solver", {})), **d)

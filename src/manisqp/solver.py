@@ -19,9 +19,10 @@ the accepted step is the one that testing r = 0, 1, 2, ... in turn would
 accept, bit for bit.
 
 A Newton iteration on the KKT system (``newton_kkt_step``) is provided
-alongside for local analysis; it shares the basis and Hessian machinery
-but keeps the Hessian unmodified and treats all constraints as
-equalities.
+alongside for local analysis.  It shares the basis, Hessian and subproblem
+machinery but keeps the Hessian unmodified and treats all constraints as
+equalities: its step is the all-equality subproblem, solved by the same
+``solve_qp``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .manifolds import ManifoldPoint, RankDropError, TangentVector, orthonormal_basis, retract
 from .problem import (
@@ -45,7 +45,7 @@ from .problem import (
     merit,
     merit_stack,
 )
-from .qp import build_subproblem, modify_hessian, solve_qp
+from .qp import QpModel, build_subproblem, modify_hessian, solve_qp
 
 __all__ = [
     "SolverConfig",
@@ -72,8 +72,6 @@ B_STRATEGIES = ("modified_hessian", "identity")
 # repeating.  Doubling evaluates at most 2 r + 1 candidates when step r is
 # accepted, and the cap bounds the memory of one chunk.
 LINE_SEARCH_CHUNKS = (1, 2, 4, 8, 16, 32, 64, 128)
-
-VERDICTS = ("converged", "max_iter", "max_time", "stalled", "qp_infeasible", "rank_drop")
 
 
 class QpInfeasibleError(RuntimeError):
@@ -375,53 +373,26 @@ def newton_kkt_step(prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: np
 
     All constraints are kept as equalities and the Lagrangian Hessian enters
     unmodified, so this is the local method the globalized iteration is
-    expected to track near a regular solution.  Returns (x_next, eta_next).
-    Raises numpy.linalg.LinAlgError when the KKT matrix is singular, which
-    signals a constraint-qualification or second-order failure at x.
+    expected to track near a regular solution.  The step is the all-equality
+    subproblem: ``build_subproblem``'s model with the inequality rows stacked
+    on the equality rows, solved by ``solve_qp``, whose multipliers are
+    eta_next.  Returns (x_next, eta_next).  Raises numpy.linalg.LinAlgError
+    when the stacked rows are rank-deficient, the reduced Hessian is singular
+    or the answer misses 1e-8 relative to the data's max-norm, which signals
+    a constraint-qualification or second-order failure at x.
     """
-    d = basis.shape[0]
-    m, n = prob.m, prob.n
-    hl = lagrangian_hessian_matrix(prob, x, eta, basis)
-    model = build_subproblem(prob, x, basis, hl)
-    g = -model.b_ineq
-    h = -model.b_eq
-
-    size = d + m + n
-    kkt = np.zeros((size, size))
-    kkt[:d, :d] = hl
-    if m:
-        kkt[:d, d : d + m] = model.A_ineq.T
-        kkt[d : d + m, :d] = model.A_ineq
-    if n:
-        kkt[:d, d + m :] = model.A_eq.T
-        kkt[d + m :, :d] = model.A_eq
-
-    grad_l = model.c.copy()
-    if m:
-        grad_l += model.A_ineq.T @ eta.mu
-    if n:
-        grad_l += model.A_eq.T @ eta.lam
-    rhs = -np.concatenate([grad_l, g, h])
-
+    model = build_subproblem(prob, x, basis, lagrangian_hessian_matrix(prob, x, eta, basis))
+    rows = np.vstack([model.A_ineq, model.A_eq])
+    rhs = np.concatenate([model.b_ineq, model.b_eq])
+    failure = "singular KKT system: constraint qualification or second-order conditions fail at this point"
+    if np.linalg.matrix_rank(rows) < rows.shape[0]:
+        raise np.linalg.LinAlgError(failure)
+    tol = 1e-8 * (1.0 + max(float(np.abs(a).max(initial=0.0)) for a in (model.H, model.c, rows, rhs)))
     try:
-        # the residual check below vets the solution, so let near-singular
-        # factorizations produce inf/nan quietly instead of warning
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = scipy.linalg.solve(kkt, rhs)
-    except scipy.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "singular KKT matrix: constraint qualification or second-order "
-            "conditions fail at this point"
-        ) from exc
-    with np.errstate(invalid="ignore"):
-        res = np.linalg.norm(kkt @ z - rhs)
-        scale = 1.0 + np.linalg.norm(rhs) + np.linalg.norm(kkt, ord="fro") * np.linalg.norm(z)
-    if not np.all(np.isfinite(z)) or res > 1e-8 * scale:
-        raise np.linalg.LinAlgError(
-            "singular KKT matrix: constraint qualification or second-order "
-            "conditions fail at this point"
-        )
-
-    x_next = retract(x, TangentVector(x, (z[:d] @ basis).reshape(x.ambient.shape)))
-    eta_next = Multipliers(eta.mu + z[d : d + m], eta.lam + z[d + m :])
-    return x_next, eta_next
+        sol = solve_qp(QpModel(model.H, model.c, np.zeros((0, rows.shape[1])), np.zeros(0), rows, rhs), tol)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(failure) from exc
+    if sol.status != "optimal":
+        raise np.linalg.LinAlgError(failure)
+    x_next = retract(x, TangentVector(x, (sol.d @ basis).reshape(x.ambient.shape)))
+    return x_next, Multipliers(sol.eta.lam[: prob.m], sol.eta.lam[prob.m :])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import manisqp as m
-from manisqp.instances import instance_size
+from manisqp.instances import _max_violation, instance_size
 
 
 def truth_point(inst):
@@ -187,6 +187,17 @@ def test_feasible_start_validates_its_target_and_budget():
     # a zero target stays valid: the phase runs and fails on its budget
     with pytest.raises(RuntimeError, match="did not reach violation 0.0 in 0 iterations"):
         m.feasible_start(inst, tol=0.0, max_iter=0)
+
+
+def test_feasible_start_rejects_a_nonfinite_start():
+    inst = m.gen_completion(4, 8, 2, seed=3)
+    u, sigma, v = m.feasible_start(inst).factors
+    u = u.copy()
+    u[0, 0] = np.nan
+    x0 = inst.manifold.from_factors(u, sigma, v)
+    assert np.isnan(_max_violation(m.completion_problem(inst), x0))
+    with pytest.raises(ValueError, match="x0 has nonfinite entries"):
+        m.feasible_start(inst, x0=x0)
 
 
 def test_instance_dict_roundtrip_completion():

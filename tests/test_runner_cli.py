@@ -314,6 +314,16 @@ def test_cli_invalid_solver_values_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_cli_bench_spec_that_is_not_a_json_object_is_a_usage_error(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    for text, message in (("[1, 2]", "expected an object, got list"), ("{bad", "Expecting property name")):
+        spec_path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_cli_gen_matches_generator(tmp_path):
     path = tmp_path / "inst.json"
     rc = main(

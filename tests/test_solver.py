@@ -509,6 +509,41 @@ def test_newton_kkt_step_exact_on_quadratic():
     assert abs(eta_next.lam[0] + 1.0) < 1e-12
 
 
+def _linear_rows_problem(eq_normal, eq_c):
+    """min |x - (2, 1, 0)|^2 / 2 s.t. x0 + x1 - 1 <= 0 and eq_normal . x - eq_c = 0 on R^3."""
+    a = np.array([2.0, 1.0, 0.0])
+    obj = m.SmoothFunction(value=lambda x: float((x - a) @ (x - a)) / 2, gradient=lambda x: x - a, hess_vec=lambda x, v: v)
+
+    def row(normal, c):
+        normal = np.asarray(normal, dtype=float)
+        return m.SmoothFunction(
+            value=lambda x: float(normal @ x - c), gradient=lambda x: normal.copy(), hess_vec=lambda x, v: np.zeros(3)
+        )
+
+    return m.Problem(m.Euclidean(3), obj, (row((1, 1, 0), 1.0),), (row(eq_normal, eq_c),))
+
+
+def test_newton_kkt_step_with_inequality_and_equality_rows():
+    # the inequality is kept as an equality, so on this quadratic one step
+    # from anywhere lands on the KKT pair worked out by hand: x* = (2, 1, 2) / 3,
+    # mu* = 2/3 (the inequality is active) and lam* = -2/3 for x2 - x0 = 0
+    prob = _linear_rows_problem((-1, 0, 1), 0.0)
+    for seed, start in enumerate(([0.0, 0.0, 0.0], [3.0, -1.0, 2.0], [-0.5, 4.0, 1.0])):
+        x = prob.manifold.point(np.array(start))
+        eta = m.Multipliers(np.array([5.0]), np.array([-3.0]))
+        x_next, eta_next = m.newton_kkt_step(prob, x, eta, m.orthonormal_basis(x, seed))
+        assert np.max(np.abs(x_next.ambient - np.array([2.0, 1.0, 2.0]) / 3)) < 1e-12
+        assert abs(eta_next.mu[0] - 2 / 3) < 1e-12
+        assert abs(eta_next.lam[0] + 2 / 3) < 1e-12
+
+
+def test_newton_kkt_step_raises_on_identical_constraint_rows():
+    prob = _linear_rows_problem((1, 1, 0), 1.0)  # the equality row repeats the inequality row
+    x = prob.manifold.point(np.zeros(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        m.newton_kkt_step(prob, x, m.Multipliers.zeros(1, 1), m.orthonormal_basis(x, 0))
+
+
 def test_newton_kkt_step_raises_on_singular_system():
     man = m.Euclidean(1)
     obj = m.SmoothFunction(  # linear objective: zero Hessian, no constraints
