@@ -119,29 +119,13 @@ def gen_completion(q: int, s: int, p: int, seed: int) -> CompletionInstance:
     return CompletionInstance(q=q, s=s, p=p, seed=seed, a=_readonly(a), observed=observed, pinned=pinned)
 
 
-def _objective(values, gradient, hessian=None) -> ConstraintBlock:
-    """The objective block of the values at a stack, the ambient gradient and the Hessian action.
-
-    ``values(xs)`` returns the r values at a stack of r points and
-    ``hessian(vs)`` the constant Hessian applied to a stack; None marks an
-    affine objective.  The basis row is the contraction ``bm @ grad``.
-    """
-    return ConstraintBlock(
-        size=1,
-        values=lambda xs: values(xs)[:, None],
-        rows=lambda x, bm: (bm @ gradient(x).ravel())[None],
-        weighted_gradient=lambda x, w: w[0] * gradient(x),
-        weighted_hessian=None if hessian is None else (lambda x, w, vs: w[0] * hessian(vs)),
-    )
-
-
 class _Entries:
     """The affine constraints sign * X_ij + offset on a list of entries.
 
-    Entries are flat indices: values (at every point of a stack) and basis
-    rows are gathers, the weighted gradient is a scatter.  The block's
-    callbacks are bound methods of one slotted object, which holds a
-    fraction of what a closure per callback would.
+    Entries are flat indices: values (at every point of a stack) are a
+    gather, and the Jacobian, built per call, holds sign at entry k of row
+    k.  The block's callbacks are bound methods of one slotted object,
+    which holds a fraction of what a closure per callback would.
     """
 
     __slots__ = ("flat", "sign", "offset")
@@ -154,16 +138,14 @@ class _Entries:
     def values(self, xs):
         return self.sign * xs.reshape(len(xs), -1)[:, self.flat] + self.offset
 
-    def rows(self, x, bm):
-        return np.ascontiguousarray(self.sign * bm.T[self.flat])
-
-    def weighted_gradient(self, x, w):
-        out = np.zeros(x.size)
-        out[self.flat] = self.sign * w
-        return out.reshape(x.shape)
+    def jacobian(self, x):
+        k = self.flat.size
+        jac = np.zeros(k * x.size)
+        jac[self.flat + x.size * np.arange(k)] = self.sign
+        return jac.reshape(k, x.size)
 
     def block(self) -> ConstraintBlock:
-        return ConstraintBlock(size=self.flat.size, values=self.values, rows=self.rows, weighted_gradient=self.weighted_gradient)
+        return ConstraintBlock(size=self.flat.size, values=self.values, jacobian=self.jacobian)
 
 
 class _Fit:
@@ -175,29 +157,17 @@ class _Fit:
         self.mask = mask
         self.a = a
 
-    def gradient(self, x):
-        return self.mask * (x - self.a)
-
     def values(self, xs):
         return (0.5 * (self.mask * (xs - self.a) ** 2).reshape(len(xs), -1).sum(axis=1))[:, None]
 
-    def rows(self, x, bm):
-        return (bm @ self.gradient(x).ravel())[None]
-
-    def weighted_gradient(self, x, w):
-        return w[0] * self.gradient(x)
+    def jacobian(self, x):
+        return (self.mask * (x - self.a)).reshape(1, -1)
 
     def weighted_hessian(self, x, w, vs):
         return w[0] * (self.mask * vs)
 
     def block(self) -> ConstraintBlock:
-        return ConstraintBlock(
-            size=1,
-            values=self.values,
-            rows=self.rows,
-            weighted_gradient=self.weighted_gradient,
-            weighted_hessian=self.weighted_hessian,
-        )
+        return ConstraintBlock(size=1, values=self.values, jacobian=self.jacobian, weighted_hessian=self.weighted_hessian)
 
 
 def completion_problem(inst: CompletionInstance) -> Problem:
@@ -244,28 +214,21 @@ def cut_problem(inst: CutInstance) -> Problem:
     lap = inst.laplacian
     q, s = inst.q, inst.s
 
-    objective = _objective(
+    objective = ConstraintBlock(
+        size=1,
         # a row sum of each flattened product adds in the order np.sum does
-        values=lambda xs: -0.25 * (xs * (lap @ xs)).reshape(len(xs), -1).sum(axis=1),
-        gradient=lambda x: -0.5 * (lap @ x),
-        hessian=lambda vs: -0.5 * (lap @ vs),
+        values=lambda xs: (-0.25 * (xs * (lap @ xs)).reshape(len(xs), -1).sum(axis=1))[:, None],
+        jacobian=lambda x: (-0.5 * (lap @ x)).reshape(1, -1),
+        weighted_hessian=lambda x, w, vs: w[0] * (-0.5 * (lap @ vs)),
     )
-
-    def rows(x, bm):
-        # the dense gradients are built per call, not stored with the
-        # problem: a product with them gives the scalar constraints' rows
-        # bit for bit, while summing the columns of bm rounds differently
-        jac = np.zeros((s, q, s))
-        jac[np.arange(s), :, np.arange(s)] = 1.0
-        return jac.reshape(s, q * s) @ bm.T
 
     column_sums = ConstraintBlock(
         size=s,
         # a contiguous row sum adds in the same order as a sum over one
         # strided column; xs.sum(axis=-2) rounds differently
         values=lambda xs: np.ascontiguousarray(np.swapaxes(xs, -1, -2)).sum(axis=-1),
-        rows=rows,
-        weighted_gradient=lambda x, w: np.zeros(x.shape) + w,
+        # built per call, so that a pool of problems holds no Jacobians
+        jacobian=lambda x: np.tile(np.eye(s), (1, q)),
     )
     return Problem(
         manifold=inst.manifold,
@@ -305,30 +268,56 @@ def instance_to_dict(inst) -> dict:
     raise TypeError(f"unknown instance type: {type(inst).__name__}")
 
 
+def _dense(rows, shape: tuple[int, int], name: str) -> np.ndarray:
+    a = np.array(rows, dtype=float)
+    if a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"{name} must be a finite {shape[0]} x {shape[1]} matrix")
+    return _readonly(a)
+
+
+def _entries(pairs, allowed: set, name: str, where: str) -> tuple[tuple[int, int], ...]:
+    out = tuple(sorted((i, j) for i, j in pairs))
+    for i, j in out:
+        require_integers(i=i, j=j)
+        if (i, j) not in allowed:
+            raise ValueError(f"{name} entry ({i}, {j}) lies outside {where}")
+    if len(set(out)) < len(out):
+        raise ValueError(f"{name} repeats an entry")
+    return out
+
+
 def instance_from_dict(d: dict):
+    """The instance an ``instance_to_dict`` dict describes.
+
+    Raises ValueError for an unknown kind, a missing or mistyped key, sizes
+    that ``instance_size`` rejects, a matrix of another shape or with
+    nonfinite entries, a Laplacian that is not symmetric, and an entry that
+    lies outside the matrix, is listed twice, or is pinned but not observed.
+    """
     kind = d.get("problem")
-    if kind == "completion":
-        return CompletionInstance(
-            q=int(d["q"]),
-            s=int(d["s"]),
-            p=int(d["p"]),
-            seed=int(d["seed"]),
-            a=_readonly(np.array(d["a"], dtype=float)),
-            observed=tuple(sorted((int(i), int(j)) for i, j in d["observed"])),
-            pinned=tuple(sorted((int(i), int(j)) for i, j in d["pinned"])),
-        )
-    if kind == "balanced_cut":
-        return CutInstance(
-            q=int(d["q"]),
-            s=int(d["s"]),
-            density=float(d["density"]),
-            seed=int(d["seed"]),
-            laplacian=_readonly(np.array(d["laplacian"], dtype=float)),
-        )
-    raise ValueError(f"unknown problem kind: {kind!r}")
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown problem kind: {kind!r}")
+    try:
+        q, s, seed = d["q"], d["s"], d["seed"]
+        require_integers(seed=seed)
+        if kind == "completion":
+            p = instance_size(kind, q, s, p=d["p"])
+            observed = _entries(d["observed"], set(_entry_table(q, s)), "observed", f"a {q} x {s} matrix")
+            pinned = _entries(d["pinned"], set(observed), "pinned", "the observed entries")
+            a = _dense(d["a"], (q, s), "a")
+            return CompletionInstance(q=q, s=s, p=p, seed=seed, a=a, observed=observed, pinned=pinned)
+        density = float(instance_size(kind, q, s, density=d["density"]))
+        lap = _dense(d["laplacian"], (q, q), "laplacian")
+        if not np.array_equal(lap, lap.T):
+            raise ValueError("laplacian must be symmetric")
+        return CutInstance(q=q, s=s, density=density, seed=seed, laplacian=lap)
+    except KeyError as exc:
+        raise ValueError(f"instance misses key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"instance has a mistyped entry: {exc}") from None
 
 
-_ZERO = _objective(values=lambda xs: np.zeros(len(xs)), gradient=lambda x: np.zeros(x.shape))
+_ZERO = ConstraintBlock(size=1, values=lambda xs: np.zeros((len(xs), 1)), jacobian=lambda x: np.zeros((1, x.size)))
 
 
 def _max_violation(prob: Problem, x: ManifoldPoint) -> float:
@@ -349,10 +338,11 @@ def feasible_start(
     largest violation drops to tol.  An explicit ``x0`` that already meets
     tol is returned untouched.  A random start can linearize the constraints
     infeasibly or stall; the phase then restarts from a fresh seeded point,
-    with all attempts sharing the ``max_iter`` step budget.  Raises
-    RuntimeError when the budget runs out before reaching tol, and
-    ValueError for a tol that is NaN or negative, a ``max_iter`` that is
-    not a nonnegative integer or an ``x0`` with nonfinite entries.
+    with at most 32 attempts sharing the ``max_iter`` step budget.  Raises
+    RuntimeError, naming the limit and the steps used, when the budget or
+    the attempts run out before reaching tol, and ValueError for a tol that
+    is NaN or negative, a ``max_iter`` that is not a nonnegative integer or
+    an ``x0`` with nonfinite entries.
     """
     if not tol >= 0.0:  # written so that NaN is rejected too
         raise ValueError("tol must be nonnegative")
@@ -392,7 +382,10 @@ def feasible_start(
             pass  # restart from a fresh random point
         x0 = None
         attempt += 1
-    raise RuntimeError(f"feasibility phase did not reach violation {tol} in {max_iter} iterations")
+    # with budget left, every attempt ended on a step that raised
+    steps = max_iter - budget + attempt
+    limit = f"{max_iter} iterations" if budget == 0 else f"{attempt} attempts ({steps} steps)"
+    raise RuntimeError(f"feasibility phase did not reach violation {tol} in {limit}")
 
 
 def instance_size(problem: str, q: int, s: int, p: int | None = None, density: float | None = None):

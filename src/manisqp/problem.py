@@ -15,6 +15,7 @@ curvature correction, so no callback ever needs to know about the manifold.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -57,18 +58,17 @@ class ConstraintBlock:
     """k scalar functions c_1..c_k given together by ambient callbacks.
 
     ``values(xs)`` returns the (r, k) values at every array of a stack xs
-    of r ambient arrays (a single point is a stack of one), ``rows(x, bm)``
-    the (k, d) contractions of the ambient gradients with the d basis
-    vectors raveled in the rows of bm, and ``weighted_gradient(x, w)``
-    sum_k w_k grad c_k(x).
+    of r ambient arrays (a single point is a stack of one), and
+    ``jacobian(x)`` the (k, N) matrix whose rows are the raveled ambient
+    gradients.  The subproblem contracts it with the tangent basis and the
+    Lagrangian gradient with the weights; nothing else reads it.
     ``weighted_hessian(x, w, vs)`` applies sum_k w_k Hess c_k(x) to every
     array of the stack vs; it is None for an affine block.
     """
 
     size: int
     values: Callable[[np.ndarray], np.ndarray]
-    rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    weighted_gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], np.ndarray]
     weighted_hessian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @staticmethod
@@ -76,32 +76,21 @@ class ConstraintBlock:
         """One block of a sequence of SmoothFunctions, keeping their Hessians."""
         fns = tuple(fns)
 
-        def weighted(w, term, out):
-            for coef, fn in zip(w, fns):
-                if coef != 0.0:
-                    out = out + coef * term(fn)
-            return out
-
-        def rows(x, bm):
-            return np.array([fn.gradient(x).ravel() for fn in fns]).reshape(len(fns), bm.shape[1]) @ bm.T
-
         def values(xs):
             out = np.empty((len(xs), len(fns)))
             for k, fn in enumerate(fns):
                 out[:, k] = [fn.value(x) for x in xs]
             return out
 
+        def jacobian(x):
+            return np.array([fn.gradient(x).ravel() for fn in fns]).reshape(len(fns), np.size(x))
+
         def weighted_hessian(x, w, vs):
-            out = [weighted(w, lambda fn: fn.hess_vec(x, v), np.zeros(v.shape)) for v in vs]
+            terms = [(coef, fn) for coef, fn in zip(w, fns) if coef != 0.0]
+            out = [sum((coef * fn.hess_vec(x, v) for coef, fn in terms), np.zeros(v.shape)) for v in vs]
             return np.array(out).reshape(vs.shape)
 
-        return ConstraintBlock(
-            size=len(fns),
-            values=values,
-            rows=rows,
-            weighted_gradient=lambda x, w: weighted(w, lambda fn: fn.gradient(x), np.zeros(x.shape)),
-            weighted_hessian=weighted_hessian,
-        )
+        return ConstraintBlock(size=len(fns), values=values, jacobian=jacobian, weighted_hessian=weighted_hessian)
 
     def scalar(self, k: int) -> SmoothFunction:
         """Function k as a SmoothFunction, derived from the block."""
@@ -115,7 +104,7 @@ class ConstraintBlock:
 
         return SmoothFunction(
             value=lambda x: float(self.values(np.asarray(x)[None])[0, k]),
-            gradient=lambda x: self.weighted_gradient(x, unit),
+            gradient=lambda x: self.jacobian(x)[k].reshape(np.shape(x)),
             hess_vec=hess_vec,
         )
 
@@ -196,7 +185,7 @@ def _lagrangian_gradient(prob: Problem, xa: np.ndarray, eta: Multipliers) -> np.
     out = np.zeros(xa.shape)
     for block, w in ((prob.obj, _ONE), (prob.ineq, eta.mu), (prob.eq, eta.lam)):
         if np.any(w):
-            out += block.weighted_gradient(xa, w)
+            out += (w @ block.jacobian(xa)).reshape(xa.shape)
     return out
 
 
@@ -210,10 +199,12 @@ def riemannian_gradient(prob: Problem, x: ManifoldPoint, which: GradientSelector
     if isinstance(which, Multipliers):
         return project_tangent(x, _lagrangian_gradient(prob, x.ambient, which))
     kind, idx = ("obj", 0) if which == "objective" else which
-    blocks = {"obj": prob.obj, "ineq": prob.ineq, "eq": prob.eq}
-    if kind not in blocks:
+    block = {"obj": prob.obj, "ineq": prob.ineq, "eq": prob.eq}.get(kind)
+    if block is None:
         raise ValueError(f"unknown gradient selector: {which!r}")
-    return project_tangent(x, blocks[kind].scalar(idx).gradient(x.ambient))
+    if isinstance(idx, bool) or not isinstance(idx, numbers.Integral) or not 0 <= idx < block.size:
+        raise ValueError(f"gradient selector {which!r} needs an index in 0..{block.size - 1}")
+    return project_tangent(x, block.scalar(idx).gradient(x.ambient))
 
 
 def lagrangian_hessian_matrix(prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: np.ndarray) -> np.ndarray:

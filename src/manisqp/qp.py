@@ -162,8 +162,8 @@ def build_subproblem(prob: Problem, x: ManifoldPoint, basis: np.ndarray, h_plus:
 
     The linear term and constraint rows are coordinates of the respective
     Riemannian gradients; since the basis is tangent, they equal the plain
-    contraction of ambient gradients with the basis vectors, which each
-    block (the objective's too) forms for all of its rows at once.  Right-hand
+    contraction of ambient gradients with the basis vectors: each block's
+    Jacobian (the objective's too) times the transposed basis.  Right-hand
     sides are the negated constraint values, so the model constraints read
     g_i + <grad g_i, d> <= 0 and h_j + <grad h_j, d> = 0.
     """
@@ -175,7 +175,7 @@ def build_subproblem(prob: Problem, x: ManifoldPoint, basis: np.ndarray, h_plus:
         raise ValueError("Hessian model is not symmetric")
     xa = x.ambient
     g, h = constraint_values(prob, x)
-    c, ai, ae = (block.rows(xa, basis) for block in (prob.obj, prob.ineq, prob.eq))
+    c, ai, ae = (block.jacobian(xa) @ basis.T for block in (prob.obj, prob.ineq, prob.eq))
     return QpModel(H=h_plus, c=c, A_ineq=ai, b_ineq=-g, A_eq=ae, b_eq=-h)
 
 

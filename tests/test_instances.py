@@ -8,6 +8,7 @@ import pytest
 
 import manisqp as m
 from manisqp.instances import _max_violation, instance_size
+from manisqp.runner import trial_seed
 
 
 def truth_point(inst):
@@ -189,6 +190,14 @@ def test_feasible_start_validates_its_target_and_budget():
         m.feasible_start(inst, tol=0.0, max_iter=0)
 
 
+def test_feasible_start_names_the_attempt_cap():
+    # every restart of this instance fails, and the 32nd ends the phase
+    # after 34 of its 200 steps: the attempts, not the budget, ran out
+    inst = m.gen_completion(6, 12, 2, trial_seed(0, 3))
+    with pytest.raises(RuntimeError, match=r"did not reach violation 0.01 in 32 attempts \(34 steps\)$"):
+        m.feasible_start(inst)
+
+
 def test_feasible_start_rejects_a_nonfinite_start():
     inst = m.gen_completion(4, 8, 2, seed=3)
     u, sigma, v = m.feasible_start(inst).factors
@@ -216,6 +225,68 @@ def test_instance_dict_roundtrip_cut():
     back = m.instance_from_dict(d)
     assert np.array_equal(back.laplacian, inst.laplacian)
     assert (back.q, back.s, back.density, back.seed) == (30, 2, 0.1, 4)
+
+
+def _edit(d, key, value):
+    return {**d, key: value}
+
+
+def _completion_dict():
+    return json.loads(json.dumps(m.instance_to_dict(m.gen_completion(4, 8, 2, seed=3))))
+
+
+def _cut_dict():
+    return json.loads(json.dumps(m.instance_to_dict(m.gen_balanced_cut(6, 2, 0.5, seed=1))))
+
+
+def _moved_entry(d):
+    # (-1, 0) would index entry (3, 0), which is unobserved
+    observed = [ij if ij != [0, 2] else [-1, 0] for ij in d["observed"]]
+    return _edit(d, "observed", observed)
+
+
+def _asymmetric(d):
+    lap = [list(row) for row in d["laplacian"]]
+    lap[0][1] += 1.0
+    return _edit(d, "laplacian", lap)
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: _edit(_completion_dict(), "p", 7), "need 1 <= p <= min"),
+        (lambda: _edit(_cut_dict(), "density", 1.5), "density must lie in"),
+        (lambda: {k: v for k, v in _completion_dict().items() if k != "q"}, "misses key 'q'"),
+        (lambda: _edit(_completion_dict(), "q", "4"), "q must be an integer"),
+        (lambda: _edit(_cut_dict(), "density", "0.5"), "mistyped"),
+        (lambda: _edit(_completion_dict(), "a", [row[:7] for row in _completion_dict()["a"]]), "a must be a finite 4 x 8 matrix"),
+        (lambda: _edit(_cut_dict(), "laplacian", _cut_dict()["laplacian"][:5]), "laplacian must be a finite 6 x 6 matrix"),
+        (lambda: _edit(_completion_dict(), "a", [[float("nan")] * 8] * 4), "a must be a finite 4 x 8 matrix"),
+        (lambda: _asymmetric(_cut_dict()), "laplacian must be symmetric"),
+        (lambda: _moved_entry(_completion_dict()), r"observed entry \(-1, 0\) lies outside a 4 x 8 matrix"),
+        (lambda: _edit(_completion_dict(), "observed", [[0, 8]]), r"observed entry \(0, 8\) lies outside a 4 x 8"),
+        (lambda: _edit(_completion_dict(), "observed", _completion_dict()["observed"] * 2), "observed repeats"),
+        (lambda: _edit(_completion_dict(), "pinned", [[0, 0]]), r"pinned entry \(0, 0\) lies outside the observed entries"),
+    ],
+    ids=[
+        "rank-above-shape",
+        "density-above-one",
+        "missing-key",
+        "mistyped-size",
+        "mistyped-density",
+        "a-shape",
+        "laplacian-shape",
+        "nonfinite",
+        "asymmetric-laplacian",
+        "negative-index",
+        "index-past-the-end",
+        "duplicate-entry",
+        "pinned-not-observed",
+    ],
+)
+def test_instance_dict_rejects_invalid_input(make, match):
+    with pytest.raises(ValueError, match=match):
+        m.instance_from_dict(make())
 
 
 def test_instance_dict_rejects_unknown_kind():

@@ -43,6 +43,13 @@ def test_gradient_selectors():
     with pytest.raises(ValueError):
         m.riemannian_gradient(prob, x, "nonsense")
 
+    # an index outside 0..size-1 of its block is rejected, not wrapped
+    cut = m.cut_problem(m.gen_balanced_cut(6, 2, 0.5, 1))
+    xc = m.random_point(cut.manifold, 0)
+    for which in (("eq", -1), ("eq", 2), ("eq", 1.0), ("eq", True), ("ineq", 0)):
+        with pytest.raises(ValueError, match="needs an index in"):
+            m.riemannian_gradient(cut, xc, which)
+
 
 def test_gradients_match_finite_differences_first_order():
     # the FD error of a directional derivative must shrink linearly in t
@@ -195,6 +202,62 @@ def test_constraint_blocks_match_the_scalar_formulas(name):
                 assert np.array_equal(view.gradient(xa), grad(xa))
                 riem = m.riemannian_gradient(prob, x, kind if kind == "objective" else (kind, k))
                 assert np.array_equal(riem.data, m.project_tangent(x, grad(xa)).data)
+
+
+def _sphere_as_blocks():
+    """README's sphere example as hand-written blocks; its objective and constraint are affine."""
+    prob, _, _ = sphere_tilt()
+    a, e1 = np.array([0.3, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    blocks = m.Problem(
+        prob.manifold,
+        m.ConstraintBlock(1, values=lambda xs: (xs @ a)[:, None], jacobian=lambda x: a[None]),
+        equalities=m.ConstraintBlock(1, values=lambda xs: xs[:, :1], jacobian=lambda x: e1[None]),
+    )
+    return prob, blocks, [[0.6, 0.0, -0.8]]
+
+
+def _curved_as_blocks():
+    """``curved_toy`` as hand-written blocks, with the Hessians of its curved constraints."""
+    prob, _, _, _ = curved_toy()
+    blocks = m.Problem(
+        prob.manifold,
+        m.ConstraintBlock(
+            1,
+            values=lambda xs: (-xs[:, 1] - 0.1 * xs[:, 0])[:, None],
+            jacobian=lambda x: np.array([[-0.1, -1.0]]),
+        ),
+        inequalities=m.ConstraintBlock(
+            1,
+            values=lambda xs: np.einsum("ri,ri->r", xs, xs)[:, None] - 2.0,
+            jacobian=lambda x: 2.0 * x[None],
+            weighted_hessian=lambda x, w, vs: w[0] * (2.0 * vs),
+        ),
+        equalities=m.ConstraintBlock(
+            1,
+            values=lambda xs: (xs[:, 1] - xs[:, 0] ** 2)[:, None],
+            jacobian=lambda x: np.array([[-2.0 * x[0], 1.0]]),
+            weighted_hessian=lambda x, w, vs: w[0] * (vs * np.array([-2.0, 0.0])),
+        ),
+    )
+    return prob, blocks, [[0.5, 0.5], [2.0, -1.0]]
+
+
+@pytest.mark.parametrize("make", [_sphere_as_blocks, _curved_as_blocks])
+def test_blocks_given_by_values_and_jacobian_solve_like_smooth_functions(make):
+    fns, blocks, starts = make()
+    cfg = m.SolverConfig(residual_tol=1e-10)
+    for x0 in starts:
+        x0 = fns.manifold.point(np.array(x0))
+        (s_fns, t_fns), (s_blocks, t_blocks) = (m.solve(prob, x0, cfg=cfg) for prob in (fns, blocks))
+        assert t_fns.verdict == t_blocks.verdict == "converged"
+        assert len(t_fns.records) == len(t_blocks.records)
+        # a stacked value may round differently from the per-point one
+        for a, b in (
+            (s_fns.x.ambient, s_blocks.x.ambient),
+            (s_fns.eta.mu, s_blocks.eta.mu),
+            (s_fns.eta.lam, s_blocks.eta.lam),
+        ):
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-12
 
 
 def test_objective_block_must_have_size_one():
