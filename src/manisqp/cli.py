@@ -8,7 +8,7 @@ import json
 import sys
 
 from .instances import FAMILIES, START_TOL, gen_instance, instance_to_dict
-from .runner import RunSpec, run, solve_instance, write_trace_csv
+from .runner import RunSpec, run, solve_seed, write_trace_csv
 from .solver import B_STRATEGIES, SolverConfig
 
 EXIT_CODES = {
@@ -39,19 +39,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_instance_args(gen)
     gen.add_argument("--out", required=True, help="output JSON path")
 
-    # solver flags left out take their SolverConfig defaults
     sol = sub.add_parser("solve", help="solve one instance")
     _add_instance_args(sol)
-    sol.add_argument("--rho-init", type=float)
-    sol.add_argument("--beta", type=float)
-    sol.add_argument("--gamma", type=float)
-    sol.add_argument("--epsilon", type=float)
-    sol.add_argument("--delta", type=float, help="eigenvalue floor")
-    sol.add_argument("--qp-tol", type=float, help="subproblem certificate tolerance")
-    sol.add_argument("--b-strategy", choices=B_STRATEGIES)
-    sol.add_argument("--residual-tol", type=float)
-    sol.add_argument("--max-iter", type=int)
-    sol.add_argument("--max-time", type=float)
+    # one flag per SolverConfig field but seed, which is --seed; a flag left
+    # out takes the field's default
+    helps = {"delta": "eigenvalue floor", "qp_tol": "subproblem certificate tolerance"}
+    for f in dataclasses.fields(SolverConfig):
+        if f.name == "seed":
+            continue
+        choices = B_STRATEGIES if f.name == "b_strategy" else None
+        sol.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), choices=choices, help=helps.get(f.name))
     sol.add_argument("--start-tol", type=float, default=START_TOL, help="feasibility phase target (completion)")
     sol.add_argument("--trace", help="write the iteration trace CSV here")
     sol.add_argument(
@@ -67,15 +64,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gen_instance(parser, args):
+def _run_spec(parser, args, **more) -> RunSpec:
+    """The RunSpec of the instance flags and ``more``; an invalid one is a usage error."""
     try:
-        return gen_instance(args.problem, args.q, args.s, args.p, args.density, args.seed)
+        return RunSpec.from_dict({k: getattr(args, k) for k in ("problem", "q", "s", "p", "density", "seed")} | more)
     except ValueError as exc:
         parser.error(str(exc))
 
 
 def _cmd_gen(parser, args) -> int:
-    inst = _gen_instance(parser, args)
+    spec = _run_spec(parser, args)
+    inst = gen_instance(spec.problem, spec.q, spec.s, spec.p, spec.density, spec.seed)
     with open(args.out, "w") as fh:
         json.dump(instance_to_dict(inst), fh, sort_keys=True)
         fh.write("\n")
@@ -84,14 +83,9 @@ def _cmd_gen(parser, args) -> int:
 
 
 def _cmd_solve(parser, args) -> int:
-    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SolverConfig)}
-    try:
-        cfg = SolverConfig(**{k: v for k, v in given.items() if v is not None})
-    except ValueError as exc:
-        parser.error(str(exc))
-    if not args.start_tol >= 0.0:  # written so that NaN is rejected too
-        parser.error("start_tol must be nonnegative")
-    trace, _ = solve_instance(_gen_instance(parser, args), cfg, args.start_tol)
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig) if f.name != "seed"}
+    spec = _run_spec(parser, args, start_tol=args.start_tol, solver={k: v for k, v in given.items() if v is not None})
+    trace, _ = solve_seed(spec, spec.seed)
     if args.trace:
         write_trace_csv(args.trace, trace.records, wall_times=args.wall_times)
     last = trace.records[-1] if trace.records else None

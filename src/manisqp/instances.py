@@ -342,7 +342,7 @@ def feasible_start(
     RuntimeError, naming the limit and the steps used, when the budget or
     the attempts run out before reaching tol, and ValueError for a tol that
     is NaN or negative, a ``max_iter`` that is not a nonnegative integer or
-    an ``x0`` with nonfinite entries.
+    an ``x0`` with nonfinite entries or on another manifold.
     """
     if not tol >= 0.0:  # written so that NaN is rejected too
         raise ValueError("tol must be nonnegative")
@@ -351,6 +351,8 @@ def feasible_start(
         raise ValueError("max_iter must be nonnegative")
     if x0 is not None and not np.isfinite(x0.ambient).all():
         raise ValueError("x0 has nonfinite entries")
+    if x0 is not None and x0.manifold != inst.manifold:
+        raise ValueError("x0 does not lie on the instance's manifold")
     man = inst.manifold
     prob = completion_problem(inst)
     feas = Problem(manifold=man, objective=_ZERO, inequalities=prob.ineq, equalities=prob.eq)

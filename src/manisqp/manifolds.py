@@ -11,6 +11,9 @@ space and carrying the metric induced by the ambient inner product:
 * ``FixedRank(q, s, p)``: q x s matrices of rank exactly p, stored as a
   factored triple (U, sigma, V) with U, V column-orthonormal and sigma > 0.
 
+Oblique, Sphere and FixedRank raise ValueError at construction unless every
+size is an integer of at least 1 and, for FixedRank, p <= min(q, s).
+
 Tangent vectors are stored in the ambient shape for every manifold,
 including FixedRank.  That keeps inner products, the dense tangent basis
 and basis coordinate arithmetic uniform across manifolds at the matrix
@@ -35,6 +38,7 @@ which numpy sums pairwise, use ``np.sum``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +95,21 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     for j in range(1, s):
         out += a[..., j : j + 1]
     return out
+
+
+def require_integers(**counts) -> None:
+    """Raise ValueError naming the first value that is not an integer (a bool is not one)."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+
+
+def _require_sizes(**sizes) -> None:
+    """Raise ValueError naming the first size that is not an integer of at least 1."""
+    require_integers(**sizes)
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -270,6 +289,9 @@ class Oblique(Manifold):
     q: int
     s: int
 
+    def __post_init__(self):
+        _require_sizes(q=self.q, s=self.s)
+
     @property
     def dim(self) -> int:
         return self.q * (self.s - 1)
@@ -348,6 +370,7 @@ class Sphere(Oblique):
     """
 
     def __init__(self, ambient_dim: int):
+        _require_sizes(ambient_dim=ambient_dim)
         super().__init__(1, ambient_dim)
 
     @property
@@ -373,6 +396,11 @@ class FixedRank(Manifold):
     s: int
     p: int
     supports_exp = False
+
+    def __post_init__(self):
+        _require_sizes(q=self.q, s=self.s, p=self.p)
+        if self.p > min(self.q, self.s):
+            raise ValueError("need p <= min(q, s)")
 
     @property
     def dim(self) -> int:

@@ -1,12 +1,14 @@
 """Batch experiment runner: seeded trials, trace CSVs, summary JSON.
 
 A RunSpec names a problem family, its sizes, a trial count and the solver
-configuration.  ``run`` executes the trials sequentially with per-trial
-derived seeds, writes one trace CSV per trial plus a ``decades.csv`` with
-the first wall time at which the residual crossed each power of ten, and a
-``summary.json`` with the success ratio, means over successful trials and
-each trial's verdict, reason and elapsed seconds.  A trial whose start
-fails is recorded with verdict "start_failed" and counts as a failure.
+configuration.  ``solve_seed(spec, seed)`` is one trial, with ``seed`` as
+the instance and solver seed (``manisqp solve --seed S`` runs it at S); a
+failed start is a "start_failed" trace and counts as a failure.  ``run``
+makes trial t ``solve_seed(spec, trial_seed(spec.seed, t))`` and writes one
+trace CSV per trial, a ``decades.csv`` with the first wall time at which
+the residual crossed each power of ten, and a ``summary.json`` with the
+success ratio, means over successful trials and each trial's verdict,
+reason and elapsed seconds.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instances import START_TOL, gen_instance, instance_size, problem_and_start
-from .problem import Multipliers
 from .solver import SolverConfig, SolveTrace, require_integers, solve
 
-__all__ = ["RunSpec", "run", "solve_instance", "write_trace_csv", "decade_crossings", "TRACE_COLUMNS"]
+__all__ = ["RunSpec", "run", "solve_seed", "write_trace_csv", "decade_crossings", "TRACE_COLUMNS"]
 
 TRACE_COLUMNS = (
     "iter",
@@ -121,28 +122,20 @@ def decade_crossings(records) -> dict[int, float]:
     return out
 
 
-def solve_instance(inst, cfg: SolverConfig, start_tol: float = START_TOL):
-    """Solve an instance from its start point and zero multipliers.
+def solve_seed(spec: RunSpec, seed: int):
+    """(trace, elapsed seconds) of spec's instance at ``seed``, solved with ``seed`` as solver seed.
 
-    Returns (trace, elapsed seconds).  A start that fails is a trace with
-    verdict "start_failed", its reason and the seconds the start took;
-    otherwise elapsed is the solve's last record time.
+    A failed start is a "start_failed" trace with its reason and the seconds
+    it took; otherwise elapsed is the solve's last record time.
     """
+    inst = gen_instance(spec.problem, spec.q, spec.s, spec.p, spec.density, seed)
     t0 = time.perf_counter()
     try:
-        prob, x0 = problem_and_start(inst, start_tol)
+        prob, x0 = problem_and_start(inst, spec.start_tol)
     except RuntimeError as exc:
         return SolveTrace(verdict="start_failed", reason=str(exc)), time.perf_counter() - t0
-    _, trace = solve(prob, x0, Multipliers.zeros(prob.m, prob.n), cfg)
+    _, trace = solve(prob, x0, cfg=dataclasses.replace(spec.solver, seed=seed))
     return trace, trace.records[-1].wall_time if trace.records else 0.0
-
-
-def _run_trial(spec: RunSpec, trial: int):
-    """Returns (seed, trace, elapsed seconds) of trial number `trial`."""
-    iseed = trial_seed(spec.seed, trial)
-    cfg = dataclasses.replace(spec.solver, seed=iseed)
-    inst = gen_instance(spec.problem, spec.q, spec.s, spec.p, spec.density, iseed)
-    return (iseed, *solve_instance(inst, cfg, spec.start_tol))
 
 
 def run(spec: RunSpec, out_dir: str):
@@ -162,7 +155,8 @@ def run(spec: RunSpec, out_dir: str):
     all_crossings: list[dict[int, float]] = []
 
     for t in range(spec.trials):
-        iseed, trace, elapsed = _run_trial(spec, t)
+        iseed = trial_seed(spec.seed, t)
+        trace, elapsed = solve_seed(spec, iseed)
         seeds.append(iseed)
         traces.append(trace)
         elapsed_s.append(elapsed)

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifolds import ManifoldPoint, RankDropError, TangentVector, orthonormal_basis, retract
+from .manifolds import ManifoldPoint, RankDropError, TangentVector, orthonormal_basis, require_integers, retract
 from .problem import (
     KktReport,
     Multipliers,
@@ -83,13 +82,6 @@ class StallError(RuntimeError):
 
 
 _FAILURE_VERDICTS = {QpInfeasibleError: "qp_infeasible", RankDropError: "rank_drop", StallError: "stalled"}
-
-
-def require_integers(**counts) -> None:
-    """Raise ValueError naming the first value that is not an integer (a bool is not one)."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -331,11 +323,14 @@ def solve(prob: Problem, x0: ManifoldPoint, eta0: Multipliers | None = None, cfg
     the KKT residual fell to cfg.residual_tol, otherwise "max_iter",
     "max_time", "stalled", "qp_infeasible" or "rank_drop".  A stalled,
     infeasible or rank-drop run carries its cause in ``trace.reason``.
+    Raises ValueError when eta0 or x0 does not fit the problem.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     eta = eta0 if eta0 is not None else Multipliers.zeros(prob.m, prob.n)
     if eta.mu.shape != (prob.m,) or eta.lam.shape != (prob.n,):
         raise ValueError("initial multipliers do not match the problem")
+    if x0.manifold != prob.manifold:
+        raise ValueError("x0 does not lie on the problem's manifold")
 
     state = IterateState(x=x0, eta=eta, rho=cfg.rho_init, k=0)
     trace = SolveTrace(records=[], verdict="max_iter")

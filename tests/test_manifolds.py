@@ -12,6 +12,8 @@ approximated by a forward difference, which shares no code with the
 closed-form implementations under test.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,25 @@ def test_point_shape_validation():
         m.Sphere(3).point(np.zeros((3, 1)))
     with pytest.raises(TypeError):
         m.FixedRank(4, 3, 2).point(np.zeros((4, 3)))
+
+
+def test_manifold_sizes_are_validated_at_construction():
+    bad = (
+        (lambda: m.Oblique(3, 0), "s must be at least 1"),
+        (lambda: m.Oblique(0, 3), "q must be at least 1"),
+        (lambda: m.Oblique(2.5, 2), "q must be an integer"),
+        (lambda: m.Oblique(True, 2), "q must be an integer"),
+        (lambda: m.Sphere(0), "ambient_dim must be at least 1"),
+        (lambda: m.Sphere(3.0), "ambient_dim must be an integer"),
+        (lambda: m.FixedRank(4, 8, 0), "p must be at least 1"),
+        (lambda: m.FixedRank(2, 2, 3), "need p <= min(q, s)"),
+        (lambda: m.FixedRank(4, 8.0, 2), "s must be an integer"),
+    )
+    for make, message in bad:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+    assert m.Oblique(3, 1).dim == 0
+    assert m.FixedRank(np.int64(4), np.int64(8), np.int64(2)).dim == 20
 
 
 def test_off_manifold_points_are_flagged():

@@ -235,6 +235,15 @@ def test_cli_solve_prints_the_stall_reason(capsys):
     assert "reason='subproblem solver failed to certify at iteration 0'" in out
 
 
+def test_cli_solve_takes_every_solver_field_as_a_flag(capsys):
+    rc = main(
+        ["solve", "--problem", "balanced_cut", "--q", "30", "--s", "2",
+         "--density", "0.1", "--seed", "7", "--max-backtracks", "0"]
+    )
+    assert rc == 12
+    assert "verdict=stalled iters=0 reason='no acceptable step within 0 backtracks'" in capsys.readouterr().out
+
+
 def test_cli_solve_reports_a_failed_start(tmp_path, capsys):
     # no random start meets violation 0 exactly, so the feasibility phase fails
     path = tmp_path / "trace.csv"
@@ -254,6 +263,7 @@ def test_cli_cut_with_one_column_is_a_usage_error(tmp_path, capsys):
         (["--q", "5", "--s", "1", "--density", "0.5"], "need s >= 2"),
         (["--q", "0", "--s", "2", "--density", "0.5"], "need q >= 1"),
         (["--q", "5", "--s", "2", "--density", "1.5"], "density must lie in [0, 1]"),
+        (["--q", "5", "--s", "2", "--density", "0.5", "--seed", "-1"], "seed must be nonnegative"),
     )
     for cmd in (["solve"], ["gen", "--out", str(tmp_path / "x.json")]):
         for args, message in bad:

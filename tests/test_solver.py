@@ -490,6 +490,19 @@ def test_initial_multiplier_shape_validation():
         m.solve(prob, x0, m.Multipliers(np.zeros(1), np.zeros(1)))
 
 
+def test_start_point_from_another_manifold_is_rejected():
+    rng = np.random.default_rng(0)
+    cut = m.cut_problem(m.gen_balanced_cut(6, 2, 0.5, 1))
+    with pytest.raises(ValueError, match="x0 does not lie on the problem's manifold"):
+        m.solve(cut, m.FixedRank(6, 2, 2).random_array(rng), cfg=m.SolverConfig(max_iter=20))
+    inst = m.gen_completion(4, 8, 2, 3)
+    oblique = m.Oblique(4, 8).random_array(rng)
+    with pytest.raises(ValueError, match="x0 does not lie on the problem's manifold"):
+        m.solve(m.completion_problem(inst), oblique)
+    with pytest.raises(ValueError, match="x0 does not lie on the instance's manifold"):
+        m.feasible_start(inst, x0=oblique)
+
+
 def test_wall_times_nondecreasing():
     prob, _, _ = sphere_tilt()
     x0 = prob.manifold.point(np.array([0.6, 0.0, -0.8]))
