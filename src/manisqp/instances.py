@@ -320,8 +320,7 @@ def instance_from_dict(d: dict):
 _ZERO = ConstraintBlock(size=1, values=lambda xs: np.zeros((len(xs), 1)), jacobian=lambda x: np.zeros((1, x.size)))
 
 
-def _max_violation(prob: Problem, x: ManifoldPoint) -> float:
-    g, h = constraint_values(prob, x)
+def _max_violation(g: np.ndarray, h: np.ndarray) -> float:
     return float(np.max(np.concatenate([g, np.abs(h)]), initial=0.0))  # NaN propagates
 
 
@@ -356,7 +355,7 @@ def feasible_start(
     man = inst.manifold
     prob = completion_problem(inst)
     feas = Problem(manifold=man, objective=_ZERO, inequalities=prob.ineq, equalities=prob.eq)
-    if x0 is not None and _max_violation(feas, x0) <= tol:
+    if x0 is not None and _max_violation(*constraint_values(feas, x0)) <= tol:
         return x0
 
     budget = max_iter
@@ -367,7 +366,7 @@ def feasible_start(
                 np.random.SeedSequence((int(inst.seed), _SALT_FEAS, attempt))
             )
             x0 = man.random_array(rng)
-            if _max_violation(feas, x0) <= tol:
+            if _max_violation(*constraint_values(feas, x0)) <= tol:
                 return x0
         seed_int = int(
             np.random.SeedSequence((int(inst.seed), _SALT_FEAS, attempt, 1)).generate_state(1)[0]
@@ -378,7 +377,7 @@ def feasible_start(
             while budget > 0:
                 state, _ = step(feas, state, cfg)
                 budget -= 1
-                if _max_violation(feas, state.x) <= tol:
+                if _max_violation(state.evaluation.g, state.evaluation.h) <= tol:
                     return state.x
         except (QpInfeasibleError, RankDropError, StallError):
             pass  # restart from a fresh random point
@@ -393,16 +392,21 @@ def feasible_start(
 def instance_size(problem: str, q: int, s: int, p: int | None = None, density: float | None = None):
     """The size argument of a family: p for completion, density for balanced cut.
 
-    Raises ValueError for an unknown family, a missing size argument or a
-    shape the family cannot have: q, s and (completion) p are integers,
-    completion needs 1 <= p <= min(q, s), balanced cut needs q >= 1, s >= 2
-    and density in [0, 1].
+    Raises ValueError for an unknown family, a missing size argument, the
+    other family's size argument or a shape the family cannot have: q, s
+    and (completion) p are integers, completion needs 1 <= p <= min(q, s),
+    balanced cut needs q >= 1, s >= 2 and density in [0, 1].
     """
     if problem not in FAMILIES:
         raise ValueError(f"problem must be one of {FAMILIES}")
-    name, size = ("p", p) if problem == "completion" else ("density", density)
+    if problem == "completion":
+        (name, size), (other, extra) = ("p", p), ("density", density)
+    else:
+        (name, size), (other, extra) = ("density", density), ("p", p)
     if size is None:
         raise ValueError(f"{problem} needs {name}")
+    if extra is not None:
+        raise ValueError(f"{problem} takes no {other}")
     require_integers(q=q, s=s, **({"p": p} if problem == "completion" else {}))
     if problem == "completion":
         if not 1 <= p <= min(q, s):

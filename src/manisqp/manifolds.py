@@ -251,6 +251,11 @@ class Euclidean(Manifold):
 
     ambient_dim: int
 
+    def __post_init__(self):
+        require_integers(ambient_dim=self.ambient_dim)
+        if self.ambient_dim < 0:
+            raise ValueError("ambient_dim must be nonnegative")
+
     @property
     def dim(self) -> int:
         return self.ambient_dim

@@ -28,6 +28,8 @@ __all__ = [
     "ConstraintBlock",
     "Multipliers",
     "Problem",
+    "Evaluation",
+    "evaluate",
     "KktReport",
     "riemannian_gradient",
     "lagrangian_hessian_matrix",
@@ -180,12 +182,29 @@ class Problem:
 GradientSelector = Union[str, tuple, Multipliers]
 
 
-def _lagrangian_gradient(prob: Problem, xa: np.ndarray, eta: Multipliers) -> np.ndarray:
+@dataclass(frozen=True, eq=False, slots=True)
+class Evaluation:
+    """f, g, h and the (k, N) Jacobians of the objective, inequality and equality blocks, all at one point."""
+
+    f: float
+    g: np.ndarray
+    h: np.ndarray
+    jacobians: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def evaluate(prob: Problem, x: ManifoldPoint) -> Evaluation:
+    """Everything the iteration reads of the problem at x, each block called once."""
+    xa = x.ambient
+    jacobians = tuple(block.jacobian(xa) for block in (prob.obj, prob.ineq, prob.eq))
+    return Evaluation(float(prob.obj.values(xa[None])[0, 0]), *constraint_values(prob, x), jacobians)
+
+
+def _lagrangian_gradient(ev: Evaluation, eta: Multipliers, shape: tuple[int, ...]) -> np.ndarray:
     """Ambient gradient of f + mu^T g + lam^T h; a block with zero weights is skipped."""
-    out = np.zeros(xa.shape)
-    for block, w in ((prob.obj, _ONE), (prob.ineq, eta.mu), (prob.eq, eta.lam)):
+    out = np.zeros(shape)
+    for jac, w in zip(ev.jacobians, (_ONE, eta.mu, eta.lam)):
         if np.any(w):
-            out += (w @ block.jacobian(xa)).reshape(xa.shape)
+            out += (w @ jac).reshape(shape)
     return out
 
 
@@ -197,7 +216,7 @@ def riemannian_gradient(prob: Problem, x: ManifoldPoint, which: GradientSelector
     f + sum mu_i g_i + sum lam_j h_j.
     """
     if isinstance(which, Multipliers):
-        return project_tangent(x, _lagrangian_gradient(prob, x.ambient, which))
+        return project_tangent(x, _lagrangian_gradient(evaluate(prob, x), which, x.ambient.shape))
     kind, idx = ("obj", 0) if which == "objective" else which
     block = {"obj": prob.obj, "ineq": prob.ineq, "eq": prob.eq}.get(kind)
     if block is None:
@@ -207,13 +226,16 @@ def riemannian_gradient(prob: Problem, x: ManifoldPoint, which: GradientSelector
     return project_tangent(x, block.scalar(idx).gradient(x.ambient))
 
 
-def lagrangian_hessian_matrix(prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: np.ndarray) -> np.ndarray:
+def lagrangian_hessian_matrix(
+    prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: np.ndarray, evaluation: Evaluation | None = None
+) -> np.ndarray:
     """Coordinate matrix of the Riemannian Hessian of the Lagrangian.
 
     Entry (i, j) is <Hess L(x)[e_i], e_j> in the given orthonormal basis,
     whose raveled vectors e_i are the rows of the (d, N) array ``basis``.
     Hess L(x)[e] is P_x(ambient Hessian of L applied to e) plus the
-    manifold's curvature term W_x(e, ambient gradient of L).  The basis
+    manifold's curvature term W_x(e, ambient gradient of L, read off
+    ``evaluation``, or ``evaluate(prob, x)`` when it is None).  The basis
     vectors are tangent and P_x is an orthogonal projection, so
     <P_x a, e_j> = <a, e_j>: the projection is skipped and the stacked
     ambient actions are contracted with the basis in one product.  Each
@@ -223,7 +245,7 @@ def lagrangian_hessian_matrix(prob: Problem, x: ManifoldPoint, eta: Multipliers,
     xa = x.ambient
     d = basis.shape[0]
     stack = basis.reshape(d, *xa.shape)
-    grad = _lagrangian_gradient(prob, xa, eta)
+    grad = _lagrangian_gradient(evaluation or evaluate(prob, x), eta, xa.shape)
     hess = np.zeros(stack.shape)
     for block, w in ((prob.obj, _ONE), (prob.ineq, eta.mu), (prob.eq, eta.lam)):
         if block.weighted_hessian is not None and np.any(w):
@@ -278,17 +300,18 @@ class KktReport:
     residual: float
 
 
-def kkt_residual(prob: Problem, x: ManifoldPoint, eta: Multipliers) -> KktReport:
+def kkt_residual(prob: Problem, x: ManifoldPoint, eta: Multipliers, evaluation: Evaluation | None = None) -> KktReport:
+    """The KktReport of (x, eta), read off ``evaluation`` (``evaluate(prob, x)`` when None)."""
     if eta.mu.shape != (prob.m,) or eta.lam.shape != (prob.n,):
         raise ValueError("multiplier lengths do not match the problem")
-    g, h = constraint_values(prob, x)
-    stat = float(np.linalg.norm(x.manifold.project_array(x, _lagrangian_gradient(prob, x.ambient, eta))))
-    primal = np.maximum(g, 0.0)
+    ev = evaluation or evaluate(prob, x)
+    stat = float(np.linalg.norm(x.manifold.project_array(x, _lagrangian_gradient(ev, eta, x.ambient.shape))))
+    primal = np.maximum(ev.g, 0.0)
     dual = np.maximum(-eta.mu, 0.0)
     ineq = math.sqrt(float(np.dot(primal, primal) + np.dot(dual, dual)))
-    comp_terms = eta.mu * g
+    comp_terms = eta.mu * ev.g
     comp = math.sqrt(float(np.dot(comp_terms, comp_terms)))
-    eq = math.sqrt(float(np.dot(h, h)))
+    eq = math.sqrt(float(np.dot(ev.h, ev.h)))
     manvio = float(prob.manifold.violation(x))
 
     full = math.sqrt(stat**2 + ineq**2 + comp**2 + eq**2)

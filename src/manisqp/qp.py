@@ -49,7 +49,8 @@ import scipy.linalg
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
 from .manifolds import ManifoldPoint, _readonly
-from .problem import Multipliers, Problem, constraint_values
+# perfbench's layer tracer patches constraint_values here, so the name stays imported
+from .problem import Evaluation, Multipliers, Problem, constraint_values, evaluate  # noqa: F401
 
 __all__ = [
     "QpModel",
@@ -157,7 +158,9 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def build_subproblem(prob: Problem, x: ManifoldPoint, basis: np.ndarray, h_plus: np.ndarray) -> QpModel:
+def build_subproblem(
+    prob: Problem, x: ManifoldPoint, basis: np.ndarray, h_plus: np.ndarray, evaluation: Evaluation | None = None
+) -> QpModel:
     """Linearize the problem at x in the coordinates of the (d, N) tangent basis.
 
     The linear term and constraint rows are coordinates of the respective
@@ -165,7 +168,8 @@ def build_subproblem(prob: Problem, x: ManifoldPoint, basis: np.ndarray, h_plus:
     contraction of ambient gradients with the basis vectors: each block's
     Jacobian (the objective's too) times the transposed basis.  Right-hand
     sides are the negated constraint values, so the model constraints read
-    g_i + <grad g_i, d> <= 0 and h_j + <grad h_j, d> = 0.
+    g_i + <grad g_i, d> <= 0 and h_j + <grad h_j, d> = 0.  Values and
+    Jacobians are read off ``evaluation``, ``evaluate(prob, x)`` when None.
     """
     d = basis.shape[0]
     h_plus = np.asarray(h_plus, dtype=float)
@@ -173,10 +177,9 @@ def build_subproblem(prob: Problem, x: ManifoldPoint, basis: np.ndarray, h_plus:
         raise ValueError("Hessian model has wrong shape for the basis")
     if h_plus.size and np.max(np.abs(h_plus - h_plus.T)) > SYMMETRY_TOL:
         raise ValueError("Hessian model is not symmetric")
-    xa = x.ambient
-    g, h = constraint_values(prob, x)
-    c, ai, ae = (block.jacobian(xa) @ basis.T for block in (prob.obj, prob.ineq, prob.eq))
-    return QpModel(H=h_plus, c=c, A_ineq=ai, b_ineq=-g, A_eq=ae, b_eq=-h)
+    ev = evaluation or evaluate(prob, x)
+    c, ai, ae = (jac @ basis.T for jac in ev.jacobians)
+    return QpModel(H=h_plus, c=c, A_ineq=ai, b_ineq=-ev.g, A_eq=ae, b_eq=-ev.h)
 
 
 def kkt_violation(model: QpModel, d: np.ndarray, mu: np.ndarray, lam: np.ndarray) -> float:

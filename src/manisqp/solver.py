@@ -1,13 +1,15 @@
 """Sequential quadratic optimization on manifolds.
 
-Each iteration draws a random orthonormal tangent basis from the
-iteration seed (the manifold's own construction, ``orthonormal_basis``: on
-Oblique and Sphere the seed picks the rotation of each row's Householder
-block), builds a convex quadratic model of the problem in those coordinates
-(Lagrangian Hessian with its eigenvalues floored, or the identity), solves
-it for a step and a fresh multiplier estimate, ratchets the exact-penalty
-parameter so the step remains a descent direction for the merit function,
-and backtracks until the Armijo condition
+Each iteration reads the problem at x_k through one ``Evaluation`` (f, g, h,
+Jacobians), which ``step`` makes for x_{k+1} after the line search and carries
+in the next ``IterateState`` (callers leave it None).  It then draws a random
+orthonormal tangent basis from the iteration seed (the manifold's own
+construction, ``orthonormal_basis``: on Oblique and Sphere the seed picks the
+rotation of each row's Householder block), builds a convex quadratic model of
+the problem in those coordinates (Lagrangian Hessian with its eigenvalues
+floored, or the identity), solves it for a step and a fresh multiplier
+estimate, ratchets the exact-penalty parameter so the step remains a descent
+direction for the merit function, and backtracks until the Armijo condition
 
     gamma * t * <B d, d>  <=  P_rho(x) - P_rho(retract(x, t d))
 
@@ -36,9 +38,11 @@ import numpy as np
 
 from .manifolds import ManifoldPoint, RankDropError, TangentVector, orthonormal_basis, require_integers, retract
 from .problem import (
+    Evaluation,
     KktReport,
     Multipliers,
     Problem,
+    evaluate,
     kkt_residual,
     lagrangian_hessian_matrix,
     merit,
@@ -120,10 +124,13 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class IterateState:
+    """Iterate x, eta, penalty rho, count k; ``evaluation`` (x's) belongs to ``step``: callers leave it None."""
+
     x: ManifoldPoint
     eta: Multipliers
     rho: float
     k: int
+    evaluation: Evaluation | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,17 +256,18 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
     """
     t0 = time.perf_counter() if clock_origin is None else clock_origin
     x, eta, k = state.x, state.eta, state.k
+    ev = state.evaluation or evaluate(prob, x)
     basis = orthonormal_basis(x, iteration_seed(cfg.seed, k))
 
     if cfg.b_strategy == "modified_hessian":
-        hl = lagrangian_hessian_matrix(prob, x, eta, basis)
+        hl = lagrangian_hessian_matrix(prob, x, eta, basis, ev)
         if not np.all(np.isfinite(hl)):
             raise StallError("Lagrangian Hessian has nonfinite entries")
         b = modify_hessian(hl, cfg.delta)
     else:
         b = np.eye(basis.shape[0])
 
-    model = build_subproblem(prob, x, basis, b)
+    model = build_subproblem(prob, x, basis, b, ev)
     try:
         sol = solve_qp(model, cfg.qp_tol)
     except ValueError as exc:  # nonfinite subproblem data, or a nonfinite saddle-solve intermediate
@@ -283,11 +291,12 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
         ls = LineSearchResult(0.0, 0, x, m_here, m_here, None, 0)
     else:
         ls = line_search(prob, x, (d_hat @ basis).reshape(x.ambient.shape), quad_form, rho, cfg)
-    report = kkt_residual(prob, ls.x_next, eta_next)
+    ev_next = ev if stationary else evaluate(prob, ls.x_next)
+    report = kkt_residual(prob, ls.x_next, eta_next, ev_next)
     record = IterationRecord(
         k=k,
         wall_time=round(time.perf_counter() - t0, 6),
-        f=float(prob.obj.values(ls.x_next.ambient[None])[0, 0]),
+        f=ev_next.f,
         merit=ls.merit_next,
         residual=report.residual,
         rho=rho,
@@ -304,7 +313,7 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
         merit_evals=ls.merit_evals,
         qp_iterations=sol.iterations,
     )
-    return IterateState(ls.x_next, eta_next, rho, k + 1), record
+    return IterateState(ls.x_next, eta_next, rho, k + 1, ev_next), record
 
 
 def _state_unchanged(a: IterateState, b: IterateState) -> bool:
@@ -376,7 +385,8 @@ def newton_kkt_step(prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: np
     or the answer misses 1e-8 relative to the data's max-norm, which signals
     a constraint-qualification or second-order failure at x.
     """
-    model = build_subproblem(prob, x, basis, lagrangian_hessian_matrix(prob, x, eta, basis))
+    ev = evaluate(prob, x)
+    model = build_subproblem(prob, x, basis, lagrangian_hessian_matrix(prob, x, eta, basis, ev), ev)
     rows = np.vstack([model.A_ineq, model.A_eq])
     rhs = np.concatenate([model.b_ineq, model.b_eq])
     failure = "singular KKT system: constraint qualification or second-order conditions fail at this point"

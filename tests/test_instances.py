@@ -204,7 +204,7 @@ def test_feasible_start_rejects_a_nonfinite_start():
     u = u.copy()
     u[0, 0] = np.nan
     x0 = inst.manifold.from_factors(u, sigma, v)
-    assert np.isnan(_max_violation(m.completion_problem(inst), x0))
+    assert np.isnan(_max_violation(*m.constraint_values(m.completion_problem(inst), x0)))
     with pytest.raises(ValueError, match="x0 has nonfinite entries"):
         m.feasible_start(inst, x0=x0)
 
@@ -308,6 +308,15 @@ def test_gen_instance_dispatches_by_family():
         m.gen_instance("balanced_cut", 30, 2, p=2)
     with pytest.raises(ValueError):
         m.gen_instance("knapsack", 4, 8, p=2)
+    # the other family's size argument is refused, not ignored
+    for args, kwargs, message in (
+        (("completion", 4, 8), dict(p=2, density=0.1), "completion takes no density"),
+        (("balanced_cut", 30, 2), dict(density=0.1, p=3), "balanced_cut takes no p"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            instance_size(*args, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            m.gen_instance(*args, **kwargs)
     # sizes are counts: a float or a bool is refused before any array is built
     bad_sizes = (
         (("balanced_cut", 5.5, 2), dict(density=0.5), "q must be an integer"),

@@ -59,11 +59,15 @@ def test_manifold_sizes_are_validated_at_construction():
         (lambda: m.FixedRank(4, 8, 0), "p must be at least 1"),
         (lambda: m.FixedRank(2, 2, 3), "need p <= min(q, s)"),
         (lambda: m.FixedRank(4, 8.0, 2), "s must be an integer"),
+        (lambda: m.Euclidean(-1), "ambient_dim must be nonnegative"),
+        (lambda: m.Euclidean(2.5), "ambient_dim must be an integer"),
+        (lambda: m.Euclidean(True), "ambient_dim must be an integer"),
     )
     for make, message in bad:
         with pytest.raises(ValueError, match=re.escape(message)):
             make()
     assert m.Oblique(3, 1).dim == 0
+    assert m.Euclidean(0).dim == 0
     assert m.FixedRank(np.int64(4), np.int64(8), np.int64(2)).dim == 20
 
 

@@ -110,6 +110,10 @@ def test_runspec_roundtrip_and_validation():
         m.RunSpec(problem="completion", q=4, s=8)  # p missing
     with pytest.raises(ValueError):
         m.RunSpec(problem="balanced_cut", q=30, s=2)  # density missing
+    with pytest.raises(ValueError, match="balanced_cut takes no p"):
+        m.RunSpec(problem="balanced_cut", q=6, s=2, density=0.5, p=3)
+    with pytest.raises(ValueError, match="completion takes no density"):
+        m.RunSpec(problem="completion", q=4, s=8, p=2, density=0.5)
     bad_shapes = (
         dict(problem="balanced_cut", q=5, s=1, density=0.5),
         dict(problem="balanced_cut", q=0, s=2, density=0.5),
@@ -264,6 +268,7 @@ def test_cli_cut_with_one_column_is_a_usage_error(tmp_path, capsys):
         (["--q", "0", "--s", "2", "--density", "0.5"], "need q >= 1"),
         (["--q", "5", "--s", "2", "--density", "1.5"], "density must lie in [0, 1]"),
         (["--q", "5", "--s", "2", "--density", "0.5", "--seed", "-1"], "seed must be nonnegative"),
+        (["--q", "5", "--s", "2", "--density", "0.5", "--p", "3"], "balanced_cut takes no p"),
     )
     for cmd in (["solve"], ["gen", "--out", str(tmp_path / "x.json")]):
         for args, message in bad:

@@ -7,6 +7,8 @@ variant (objective times 5) forces the penalty update to fire on the first
 iteration, which pins the ratchet formula rho = upsilon + epsilon.
 """
 
+import collections
+import dataclasses
 import re
 
 import numpy as np
@@ -472,6 +474,69 @@ def test_solver_is_deterministic():
         assert a.step_norm == b.step_norm
         assert a.alpha == b.alpha
     assert np.array_equal(s1.x.ambient, s2.x.ambient)
+
+
+def _chain_cases():
+    """A cut, a completion and an inequality toy instance, each with a start and a config."""
+    cut = m.gen_balanced_cut(20, 2, 0.2, seed=3)
+    comp = m.gen_completion(4, 8, 2, seed=5)
+    toy, _, _, _ = curved_toy()
+    return (
+        (m.cut_problem(cut), m.random_cut_start(cut), m.SolverConfig(delta=1e-4, seed=7)),
+        (m.completion_problem(comp), m.feasible_start(comp, tol=1e-2), m.SolverConfig(seed=8)),
+        (toy, toy.manifold.point(np.array([2.0, -1.0])), m.SolverConfig(seed=9)),
+    )
+
+
+def _record_fields(record):
+    # repr is exact for floats and for the KktReport of floats
+    return {f.name: repr(getattr(record, f.name)) for f in dataclasses.fields(record) if f.name != "wall_time"}
+
+
+def _state_bytes(state):
+    return state.x.ambient.tobytes(), state.eta.mu.tobytes(), state.eta.lam.tobytes(), repr(state.rho), state.k
+
+
+def test_carried_evaluation_matches_a_fresh_one():
+    # step returns x_{k+1}'s evaluation in the next state; a chain that drops
+    # it, so that each step evaluates its own x_k, must agree bit for bit
+    for prob, x0, cfg in _chain_cases():
+        carried = rebuilt = m.IterateState(x0, m.Multipliers.zeros(prob.m, prob.n), cfg.rho_init, 0)
+        for k in range(6):
+            carried, record = m.step(prob, carried, cfg)
+            rebuilt, rebuilt_record = m.step(prob, m.IterateState(rebuilt.x, rebuilt.eta, rebuilt.rho, rebuilt.k), cfg)
+            assert carried.evaluation is not None
+            assert _record_fields(record) == _record_fields(rebuilt_record)
+            assert _state_bytes(carried) == _state_bytes(rebuilt)
+            if record.residual <= 1e-12:
+                break
+        assert k >= 2
+
+
+def test_each_point_is_evaluated_once_per_solve(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    toy, x_star, _, _ = curved_toy()
+    obj, ineq, eq = (
+        m.ConstraintBlock(b.size, b.values, counted(name, b.jacobian), b.weighted_hessian)
+        for name, b in (("obj", toy.obj), ("ineq", toy.ineq), ("eq", toy.eq))
+    )
+    prob = m.Problem(toy.manifold, obj, ineq, eq)
+    for mod in (m.problem, m.qp):  # every module that imports constraint_values
+        monkeypatch.setattr(mod, "constraint_values", counted("values", mod.constraint_values))
+    state, trace = m.solve(prob, prob.manifold.point(np.array([2.0, -1.0])), cfg=m.SolverConfig(residual_tol=1e-10))
+    assert trace.verdict == "converged" and len(trace.records) >= 3
+    assert np.max(np.abs(state.x.ambient - x_star)) < 1e-9
+    # x_0, then the point each nonstationary step moved to
+    points = 1 + sum(not r.stationary for r in trace.records)
+    assert calls == {"values": points, "obj": points, "ineq": points, "eq": points}
 
 
 def test_identity_b_strategy_converges():
