@@ -227,15 +227,21 @@ def riemannian_gradient(prob: Problem, x: ManifoldPoint, which: GradientSelector
 
 
 def lagrangian_hessian_matrix(
-    prob: Problem, x: ManifoldPoint, eta: Multipliers, basis: np.ndarray, evaluation: Evaluation | None = None
+    prob: Problem,
+    x: ManifoldPoint,
+    eta: Multipliers,
+    basis: np.ndarray,
+    evaluation: Evaluation | None = None,
+    gradient: np.ndarray | None = None,
 ) -> np.ndarray:
     """Coordinate matrix of the Riemannian Hessian of the Lagrangian.
 
     Entry (i, j) is <Hess L(x)[e_i], e_j> in the given orthonormal basis,
     whose raveled vectors e_i are the rows of the (d, N) array ``basis``.
     Hess L(x)[e] is P_x(ambient Hessian of L applied to e) plus the
-    manifold's curvature term W_x(e, ambient gradient of L, read off
-    ``evaluation``, or ``evaluate(prob, x)`` when it is None).  The basis
+    manifold's curvature term W_x(e, ambient gradient of L).  That gradient
+    is ``gradient`` when given, else formed from ``evaluation``, or from
+    ``evaluate(prob, x)`` when that is None too.  The basis
     vectors are tangent and P_x is an orthogonal projection, so
     <P_x a, e_j> = <a, e_j>: the projection is skipped and the stacked
     ambient actions are contracted with the basis in one product.  Each
@@ -245,12 +251,13 @@ def lagrangian_hessian_matrix(
     xa = x.ambient
     d = basis.shape[0]
     stack = basis.reshape(d, *xa.shape)
-    grad = _lagrangian_gradient(evaluation or evaluate(prob, x), eta, xa.shape)
+    if gradient is None:
+        gradient = _lagrangian_gradient(evaluation or evaluate(prob, x), eta, xa.shape)
     hess = np.zeros(stack.shape)
     for block, w in ((prob.obj, _ONE), (prob.ineq, eta.mu), (prob.eq, eta.lam)):
         if block.weighted_hessian is not None and np.any(w):
             hess = hess + block.weighted_hessian(xa, w, stack)
-    hess = hess + prob.manifold.weingarten(x, stack, grad)
+    hess = hess + prob.manifold.weingarten(x, stack, gradient)
     mat = hess.reshape(d, xa.size) @ basis.T
     return (mat + mat.T) / 2.0
 
@@ -260,20 +267,30 @@ def constraint_values(prob: Problem, x: ManifoldPoint) -> tuple[np.ndarray, np.n
     return prob.ineq.values(xs)[0], prob.eq.values(xs)[0]
 
 
-def merit_stack(prob: Problem, xs: np.ndarray, rho: float) -> np.ndarray:
-    """Exact l1 penalty f + rho * (sum_i max(0, g_i) + sum_j |h_j|) at each array of the stack xs."""
+def _penalized(f: np.ndarray, g: np.ndarray, h: np.ndarray, rho: float) -> np.ndarray:
+    """f + rho * (sum_i max(0, g_i) + sum_j |h_j|) for the (r,) values f and each row of the (r, k) g and h."""
     if not 0.0 <= rho < math.inf:  # written so that NaN is rejected too
         raise ValueError("penalty parameter must be nonnegative and finite")
     # each row of a C-ordered array is summed as the single row would be;
     # a block may return its values in another layout
-    g, h = (np.ascontiguousarray(block.values(xs)) for block in (prob.ineq, prob.eq))
+    g, h = np.ascontiguousarray(g), np.ascontiguousarray(h)
     viol = np.maximum(g, 0.0).sum(axis=1) + np.abs(h).sum(axis=1)
-    return prob.obj.values(xs)[:, 0] + rho * viol
+    return f + rho * viol
+
+
+def merit_stack(prob: Problem, xs: np.ndarray, rho: float) -> np.ndarray:
+    """Exact l1 penalty f + rho * (sum_i max(0, g_i) + sum_j |h_j|) at each array of the stack xs."""
+    return _penalized(prob.obj.values(xs)[:, 0], prob.ineq.values(xs), prob.eq.values(xs), rho)
 
 
 def merit(prob: Problem, x: ManifoldPoint, rho: float) -> float:
     """The merit of one point: ``merit_stack`` on a stack of one."""
     return float(merit_stack(prob, x.ambient[None], rho)[0])
+
+
+def _evaluated_merit(ev: Evaluation, rho: float) -> float:
+    """``merit`` at the evaluated point, summed from its f, g and h as ``merit_stack`` sums a stack of one."""
+    return float(_penalized(np.array([ev.f]), ev.g[None], ev.h[None], rho)[0])
 
 
 @dataclass(frozen=True)
@@ -300,12 +317,24 @@ class KktReport:
     residual: float
 
 
-def kkt_residual(prob: Problem, x: ManifoldPoint, eta: Multipliers, evaluation: Evaluation | None = None) -> KktReport:
-    """The KktReport of (x, eta), read off ``evaluation`` (``evaluate(prob, x)`` when None)."""
+def kkt_residual(
+    prob: Problem,
+    x: ManifoldPoint,
+    eta: Multipliers,
+    evaluation: Evaluation | None = None,
+    gradient: np.ndarray | None = None,
+) -> KktReport:
+    """The KktReport of (x, eta), read off ``evaluation`` (``evaluate(prob, x)`` when None).
+
+    ``gradient`` is the ambient Lagrangian gradient at (x, eta); when None it
+    is formed from the evaluation.
+    """
     if eta.mu.shape != (prob.m,) or eta.lam.shape != (prob.n,):
         raise ValueError("multiplier lengths do not match the problem")
     ev = evaluation or evaluate(prob, x)
-    stat = float(np.linalg.norm(x.manifold.project_array(x, _lagrangian_gradient(ev, eta, x.ambient.shape))))
+    if gradient is None:
+        gradient = _lagrangian_gradient(ev, eta, x.ambient.shape)
+    stat = float(np.linalg.norm(x.manifold.project_array(x, gradient)))
     primal = np.maximum(ev.g, 0.0)
     dual = np.maximum(-eta.mu, 0.0)
     ineq = math.sqrt(float(np.dot(primal, primal) + np.dot(dual, dual)))

@@ -14,11 +14,16 @@ direction for the merit function, and backtracks until the Armijo condition
     gamma * t * <B d, d>  <=  P_rho(x) - P_rho(retract(x, t d))
 
 holds for t = beta^r with the smallest r >= 0.  The trial steps are
-evaluated in chunks of 1, 2, 4, ... candidates (``LINE_SEARCH_CHUNKS``),
-each chunk as one stacked retraction and one stacked merit evaluation; the
-first candidate of a chunk that drops rank or passes the test decides, so
-the accepted step is the one that testing r = 0, 1, 2, ... in turn would
-accept, bit for bit.
+evaluated in chunks, each chunk as one stacked retraction and one stacked
+merit evaluation.  After a search that accepted r >= 2 the next one's first
+chunk covers r = 0..floor(1.25 r) (``LINE_SEARCH_REACH``), since deep
+searches tend to follow each other; otherwise the first chunk is the full
+step alone.  Each later chunk doubles the one before, up to
+``LINE_SEARCH_MAX_CHUNK`` candidates.  The first candidate of a chunk that
+drops rank or passes the test decides, so the accepted step is the one that
+testing r = 0, 1, 2, ... in turn would accept, bit for bit.  The base merit
+P_rho(x_k), like the Lagrangian gradient at (x_k, eta_k), is read off what
+the previous step computed at x_k.
 
 A Newton iteration on the KKT system (``newton_kkt_step``) is provided
 alongside for local analysis.  It shares the basis, Hessian and subproblem
@@ -29,7 +34,6 @@ equalities: its step is the all-equality subproblem, solved by the same
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,6 +46,8 @@ from .problem import (
     KktReport,
     Multipliers,
     Problem,
+    _evaluated_merit,
+    _lagrangian_gradient,
     evaluate,
     kkt_residual,
     lagrangian_hessian_matrix,
@@ -71,10 +77,12 @@ STEP_ZERO_TOL = 1e-14
 
 B_STRATEGIES = ("modified_hessian", "identity")
 
-# Sizes of the successive chunks of line-search trial steps, the last one
-# repeating.  Doubling evaluates at most 2 r + 1 candidates when step r is
-# accepted, and the cap bounds the memory of one chunk.
-LINE_SEARCH_CHUNKS = (1, 2, 4, 8, 16, 32, 64, 128)
+# After a search that accepted r >= 2 backtracks, the next search's first
+# chunk of trial steps covers r = 0..floor(LINE_SEARCH_REACH * r); otherwise
+# it holds the full step alone.  Each later chunk doubles the one before,
+# capped at LINE_SEARCH_MAX_CHUNK candidates to bound its memory.
+LINE_SEARCH_REACH = 1.25
+LINE_SEARCH_MAX_CHUNK = 128
 
 
 class QpInfeasibleError(RuntimeError):
@@ -124,13 +132,20 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class IterateState:
-    """Iterate x, eta, penalty rho, count k; ``evaluation`` (x's) belongs to ``step``: callers leave it None."""
+    """Iterate x, eta, penalty rho, count k, and what the step that reached x computed there.
+
+    ``evaluation`` (x's), ``gradient`` (the ambient Lagrangian gradient at
+    (x, eta)) and ``depth`` (that step's accepted backtrack count) belong to
+    ``step``: callers leave them at their defaults.
+    """
 
     x: ManifoldPoint
     eta: Multipliers
     rho: float
     k: int
     evaluation: Evaluation | None = None
+    gradient: np.ndarray | None = None
+    depth: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +159,11 @@ class IterationRecord:
     the full step was accepted); ``stationary`` marks an iteration whose
     subproblem step was numerically zero.  ``merit_evals`` counts the trial
     steps whose merit the line search computed, including those past the
-    accepted one in its last chunk; ``qp_iterations`` is the subproblem
-    solver's iteration count.
+    accepted one in its last chunk.  The first chunk is r = 0 alone, or
+    r = 0..floor(1.25 r') when the previous iteration accepted r' >= 2
+    backtracks, and each later chunk doubles the one before, up to 128; so
+    a search that accepts r computes at least r + 1 merits.
+    ``qp_iterations`` is the subproblem solver's iteration count.
     """
 
     k: int
@@ -206,28 +224,30 @@ class LineSearchResult:
     merit_evals: int
 
 
-def line_search(prob, x, direction, quad_form, rho, cfg) -> LineSearchResult:
+def line_search(prob, x, direction, quad_form, rho, cfg, *, base=None, depth=0) -> LineSearchResult:
     """Backtracking Armijo search along a retracted ray.
 
     ``direction`` is the tangent step d as an array of the point's ambient
     shape.  Finds the smallest r >= 0 with
     gamma * beta^r * quad_form <= P_rho(x) - P_rho(retract(x, beta^r * d)),
     raising RankDropError if a retraction before it drops rank and
-    StallError if no r up to cfg.max_backtracks qualifies.  Candidates are
-    retracted and their merits computed a chunk at a time
-    (``LINE_SEARCH_CHUNKS``).
+    StallError if no r up to cfg.max_backtracks qualifies.  ``base`` is
+    P_rho(x), computed here when None.  Candidates are retracted and their
+    merits computed a chunk at a time; ``depth``, the previous search's
+    accepted r, sizes the first chunk (``LINE_SEARCH_REACH``).
     """
     if not 0.0 < quad_form < math.inf:  # written so that NaN is rejected too
         raise ValueError("quad_form must be positive and finite")
     direction = np.asarray(direction, dtype=float)
     if direction.shape != x.ambient.shape:
         raise ValueError(f"direction of shape {direction.shape} at a point of shape {x.ambient.shape}")
-    base = merit(prob, x, rho)
+    if base is None:
+        base = merit(prob, x, rho)
     reject = None
-    chunks = itertools.chain(LINE_SEARCH_CHUNKS, itertools.repeat(LINE_SEARCH_CHUNKS[-1]))
+    size = math.floor(LINE_SEARCH_REACH * depth) + 1 if depth >= 2 else 1
     r0 = 0
     while r0 <= cfg.max_backtracks:
-        rs = range(r0, min(r0 + next(chunks), cfg.max_backtracks + 1))
+        rs = range(r0, min(r0 + size, cfg.max_backtracks + 1))
         ts = np.array([cfg.beta**r for r in rs])
         ys, kept, point = x.manifold.retract_stack(x, np.multiply.outer(ts, direction))
         merits = merit_stack(prob, ys, rho)
@@ -240,6 +260,7 @@ def line_search(prob, x, direction, quad_form, rho, cfg) -> LineSearchResult:
             return LineSearchResult(float(ts[i]), rs[i], point(i), base, float(merits[i]), reject, rs.stop)
         reject = float(merits[-1])
         r0 = rs.stop
+        size = min(2 * size, LINE_SEARCH_MAX_CHUNK)
     raise StallError(f"no acceptable step within {cfg.max_backtracks} backtracks")
 
 
@@ -260,7 +281,7 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
     basis = orthonormal_basis(x, iteration_seed(cfg.seed, k))
 
     if cfg.b_strategy == "modified_hessian":
-        hl = lagrangian_hessian_matrix(prob, x, eta, basis, ev)
+        hl = lagrangian_hessian_matrix(prob, x, eta, basis, ev, state.gradient)
         if not np.all(np.isfinite(hl)):
             raise StallError("Lagrangian Hessian has nonfinite entries")
         b = modify_hessian(hl, cfg.delta)
@@ -286,13 +307,15 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
     quad_form = float(d_hat @ b @ d_hat)
 
     stationary = step_norm <= STEP_ZERO_TOL
+    base = _evaluated_merit(ev, rho)
     if stationary:
-        m_here = merit(prob, x, rho)
-        ls = LineSearchResult(0.0, 0, x, m_here, m_here, None, 0)
+        ls = LineSearchResult(0.0, 0, x, base, base, None, 0)
     else:
-        ls = line_search(prob, x, (d_hat @ basis).reshape(x.ambient.shape), quad_form, rho, cfg)
+        direction = (d_hat @ basis).reshape(x.ambient.shape)
+        ls = line_search(prob, x, direction, quad_form, rho, cfg, base=base, depth=state.depth)
     ev_next = ev if stationary else evaluate(prob, ls.x_next)
-    report = kkt_residual(prob, ls.x_next, eta_next, ev_next)
+    grad_next = _lagrangian_gradient(ev_next, eta_next, x.ambient.shape)
+    report = kkt_residual(prob, ls.x_next, eta_next, ev_next, grad_next)
     record = IterationRecord(
         k=k,
         wall_time=round(time.perf_counter() - t0, 6),
@@ -313,7 +336,7 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
         merit_evals=ls.merit_evals,
         qp_iterations=sol.iterations,
     )
-    return IterateState(ls.x_next, eta_next, rho, k + 1, ev_next), record
+    return IterateState(ls.x_next, eta_next, rho, k + 1, ev_next, grad_next, ls.backtracks), record
 
 
 def _state_unchanged(a: IterateState, b: IterateState) -> bool:

@@ -1,13 +1,14 @@
 """The chunked line search against its sequential definition.
 
 ``line_search`` evaluates its trial steps a chunk at a time, each chunk as
-one stacked retraction and merit.  ``sequential_search`` below is the
-definition it must reproduce: test r = 0, 1, 2, ... one candidate at a
-time, retracting and evaluating each with the single-point functions.  The
-two are compared bit for bit on directions taken from real iterations of
-the bundled families and of the analytic toys, across backtrack budgets
-that end inside and at the edges of chunks, and on FixedRank rays that
-drop rank inside a chunk.
+one stacked retraction and merit, with a first chunk sized by the previous
+search's depth.  ``sequential_search`` below is the definition it must
+reproduce: test r = 0, 1, 2, ... one candidate at a time, retracting and
+evaluating each with the single-point functions.  The two are compared bit
+for bit on directions taken from real iterations of the bundled families
+and of the analytic toys, at depths that put the accepted step in the
+first chunk or past it, across backtrack budgets that end inside and at
+the edges of chunks, and on FixedRank rays that drop rank inside a chunk.
 """
 
 import re
@@ -22,6 +23,18 @@ from manisqp import solver
 from util import bundled_problems, curved_toy, euclidean_toy, random_tangent, sphere_tilt
 
 BUDGETS = (0, 1, 2, 3, 6, 7, 200)
+DEPTHS = (0, 1, 2, 5, 16, 64, 200)
+
+
+def expected_merit_evals(depth, r, budget):
+    """End of the chunk that holds step r: the first chunk is r = 0..floor(1.25 depth)
+    after a depth of 2 or more and r = 0 alone otherwise; each later chunk doubles, up to 128."""
+    size = int(1.25 * depth) + 1 if depth >= 2 else 1
+    stop = size
+    while stop <= r:
+        size = min(2 * size, 128)
+        stop += size
+    return min(stop, budget + 1)
 
 
 def sequential_search(prob, x, direction, quad_form, rho, cfg):
@@ -38,34 +51,43 @@ def sequential_search(prob, x, direction, quad_form, rho, cfg):
     raise m.StallError(f"no acceptable step within {cfg.max_backtracks} backtracks")
 
 
-def assert_matches_definition(prob, x, direction, quad_form, rho, cfg):
-    """Compare one search with the definition; returns the result or None when both raise."""
+def assert_matches_definition(prob, x, direction, quad_form, rho, cfg, depths=DEPTHS, base=None):
+    """Compare the search at each depth with the definition.
+
+    Returns the results by depth, or None when the definition raises and so
+    does the search at every depth.  ``base`` is passed on as the search's
+    base merit.
+    """
     try:
-        alpha, r, point, base, m_next, reject = sequential_search(prob, x, direction, quad_form, rho, cfg)
+        alpha, r, point, merit_base, m_next, reject = sequential_search(prob, x, direction, quad_form, rho, cfg)
     except (m.StallError, m.RankDropError) as exc:
-        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            m.line_search(prob, x, direction, quad_form, rho, cfg)
+        for depth in depths:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                m.line_search(prob, x, direction, quad_form, rho, cfg, base=base, depth=depth)
         return None
-    res = m.line_search(prob, x, direction, quad_form, rho, cfg)
-    assert (res.alpha, res.backtracks, res.merit_base, res.merit_next) == (alpha, r, base, m_next)
-    assert res.merit_reject == reject
-    assert type(res.alpha) is float and type(res.merit_next) is float
-    assert np.array_equal(res.x_next.ambient, point.ambient)
-    if point.factors is not None:
-        for got, want in zip(res.x_next.factors, point.factors):
-            assert np.array_equal(got, want)
-    assert r + 1 <= res.merit_evals <= 2 * r + 1
-    return res
+    results = {}
+    for depth in depths:
+        res = m.line_search(prob, x, direction, quad_form, rho, cfg, base=base, depth=depth)
+        assert (res.alpha, res.backtracks, res.merit_base, res.merit_next) == (alpha, r, merit_base, m_next)
+        assert res.merit_reject == reject
+        assert type(res.alpha) is float and type(res.merit_next) is float
+        assert np.array_equal(res.x_next.ambient, point.ambient)
+        if point.factors is not None:
+            for got, want in zip(res.x_next.factors, point.factors):
+                assert np.array_equal(got, want)
+        assert res.merit_evals == expected_merit_evals(depth, r, cfg.max_backtracks)
+        results[depth] = res
+    return results
 
 
 def recorded_searches(monkeypatch, prob, x0, cfg):
-    """The arguments of every line search of a solve."""
+    """The arguments of every line search of a solve, as (args, kwargs)."""
     calls = []
     search = solver.line_search
 
-    def spy(*args):
-        calls.append(args)
-        return search(*args)
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return search(*args, **kwargs)
 
     with monkeypatch.context() as mp:
         mp.setattr(solver, "line_search", spy)
@@ -75,12 +97,16 @@ def recorded_searches(monkeypatch, prob, x0, cfg):
 
 
 def check_all_budgets(calls):
+    """Each recorded search, with its carried base merit, at every depth and budget and with no keywords."""
     backtracks = []
-    for prob, x, direction, quad_form, rho, cfg in calls:
+    for (prob, x, direction, quad_form, rho, cfg), kwargs in calls:
+        assert set(kwargs) == {"base", "depth"}
         for budget in BUDGETS:
-            res = assert_matches_definition(prob, x, direction, quad_form, rho, replace(cfg, max_backtracks=budget))
-            if res is not None and budget == cfg.max_backtracks:
-                backtracks.append(res.backtracks)
+            capped = replace(cfg, max_backtracks=budget)
+            results = assert_matches_definition(prob, x, direction, quad_form, rho, capped, base=kwargs["base"])
+            assert_matches_definition(prob, x, direction, quad_form, rho, capped, depths=(0,))
+            if results is not None and budget == cfg.max_backtracks:
+                backtracks.append(results[0].backtracks)
     return backtracks
 
 
@@ -98,7 +124,7 @@ def test_matches_definition_on_completion_iterations(monkeypatch):
     prob = m.completion_problem(inst)
     cfg = m.SolverConfig(max_iter=15, seed=3)
     calls = recorded_searches(monkeypatch, prob, m.feasible_start(inst), cfg)
-    assert all(x.factors is not None for _, x, *_ in calls)
+    assert all(x.factors is not None for (_, x, *_), _ in calls)
     check_all_budgets(calls)
 
 
@@ -113,8 +139,11 @@ def test_matches_definition_on_toys(monkeypatch, make):
 
 def test_merit_evals_for_hand_derived_search():
     # f(x) = x^2 from x = 1 along d = -1 accepts first at r = 16 (see
-    # test_line_search_backtrack_count_hand_derived), which lies in the
-    # chunk of r = 15..30: 31 merits are computed
+    # test_line_search_backtrack_count_hand_derived).  From depth 0 or 1 the
+    # chunks are r = 0, 1..2, 3..6, 7..14, 15..30: 31 merits are computed.
+    # From depth 2 they are 0..2, 3..8, 9..20; from depth 5, 0..6, 7..20;
+    # from depth 16, 0..20: 21 merits.  From depth 64 the first chunk is
+    # 0..80, and from depth 200 it is 0..250, cut at the budget of 200.
     man = m.Euclidean(1)
     obj = m.SmoothFunction(
         value=lambda x: float(x[0] ** 2),
@@ -125,9 +154,10 @@ def test_merit_evals_for_hand_derived_search():
     x = man.point(np.array([1.0]))
     d = np.array([-1.0])
     cfg = m.SolverConfig(gamma=0.9, beta=0.9)
-    res = assert_matches_definition(prob, x, d, 2.0, 1.0, cfg)
-    assert res.backtracks == 16
-    assert res.merit_evals == 31
+    results = assert_matches_definition(prob, x, d, 2.0, 1.0, cfg)
+    assert {depth: res.backtracks for depth, res in results.items()} == dict.fromkeys(DEPTHS, 16)
+    evals = {depth: res.merit_evals for depth, res in results.items()}
+    assert evals == {0: 31, 1: 31, 2: 21, 5: 21, 16: 21, 64: 81, 200: 201}
     # budgets that end just before, at and after r = 16 and the chunk edges
     for budget in (14, 15, 16, 29, 30, 31):
         assert_matches_definition(prob, x, d, 2.0, 1.0, replace(cfg, max_backtracks=budget))
@@ -176,21 +206,28 @@ def test_rank_drop_before_the_accepted_step_raises():
 
 
 def test_rank_drop_after_the_accepted_step_is_ignored():
-    # chunk r = 1..2: r = 1 is accepted, the drop at r = 2 is never reached
+    # from depth 0 the chunk r = 1..2 holds the accepted r = 1 and the drop
+    # at r = 2, which is never reached; from depth 2 both lie in the first
+    # chunk, r = 0..2, and from depth 5 in the chunk r = 0..6
     prob, x, d, quad, cfg = drop_ray(drop_at=2, accept_from=1)
     with pytest.raises(m.RankDropError):
         m.retract(x, m.TangentVector(x, cfg.beta**2 * d))
-    res = assert_matches_definition(prob, x, d, quad, 1.0, cfg)
-    assert res.backtracks == 1
-    assert res.merit_evals == 3
-    assert prob.manifold.point_ok(res.x_next)
+    results = assert_matches_definition(prob, x, d, quad, 1.0, cfg, depths=(0, 2, 5))
+    assert {depth: res.merit_evals for depth, res in results.items()} == {0: 3, 2: 3, 5: 7}
+    for res in results.values():
+        assert res.backtracks == 1
+        assert prob.manifold.point_ok(res.x_next)
 
 
 def test_records_carry_merit_evals_and_qp_iterations():
     inst = m.gen_completion(4, 8, 2, seed=3)
     prob = m.completion_problem(inst)
-    _, trace = m.solve(prob, m.feasible_start(inst), cfg=m.SolverConfig(max_iter=10, seed=3))
+    cfg = m.SolverConfig(max_iter=10, seed=3)
+    _, trace = m.solve(prob, m.feasible_start(inst), cfg=cfg)
     assert trace.records
-    for rec in trace.records:
-        assert rec.backtracks + 1 <= rec.merit_evals <= 2 * rec.backtracks + 1
+    # each search's first chunk is sized by the previous one's backtracks
+    depths = [0] + [rec.backtracks for rec in trace.records[:-1]]
+    assert max(depths) >= 2
+    for depth, rec in zip(depths, trace.records):
+        assert rec.merit_evals == expected_merit_evals(depth, rec.backtracks, cfg.max_backtracks)
         assert rec.qp_iterations >= 1  # inequality rows: active-set steps

@@ -488,9 +488,10 @@ def _chain_cases():
     )
 
 
-def _record_fields(record):
+def _record_fields(record, *skip):
     # repr is exact for floats and for the KktReport of floats
-    return {f.name: repr(getattr(record, f.name)) for f in dataclasses.fields(record) if f.name != "wall_time"}
+    skip = ("wall_time", *skip)
+    return {f.name: repr(getattr(record, f.name)) for f in dataclasses.fields(record) if f.name not in skip}
 
 
 def _state_bytes(state):
@@ -498,19 +499,46 @@ def _state_bytes(state):
 
 
 def test_carried_evaluation_matches_a_fresh_one():
-    # step returns x_{k+1}'s evaluation in the next state; a chain that drops
-    # it, so that each step evaluates its own x_k, must agree bit for bit
+    # step returns x_{k+1}'s evaluation, its Lagrangian gradient and the
+    # accepted backtrack count in the next state; a chain that drops them,
+    # so that each step evaluates its own x_k and searches from depth 0,
+    # must agree bit for bit in all but the count of merits computed
     for prob, x0, cfg in _chain_cases():
         carried = rebuilt = m.IterateState(x0, m.Multipliers.zeros(prob.m, prob.n), cfg.rho_init, 0)
         for k in range(6):
             carried, record = m.step(prob, carried, cfg)
             rebuilt, rebuilt_record = m.step(prob, m.IterateState(rebuilt.x, rebuilt.eta, rebuilt.rho, rebuilt.k), cfg)
-            assert carried.evaluation is not None
-            assert _record_fields(record) == _record_fields(rebuilt_record)
+            assert carried.evaluation is not None and carried.gradient is not None
+            assert carried.depth == record.backtracks
+            assert _record_fields(record, "merit_evals") == _record_fields(rebuilt_record, "merit_evals")
             assert _state_bytes(carried) == _state_bytes(rebuilt)
             if record.residual <= 1e-12:
                 break
         assert k >= 2
+
+
+def test_record_merit_and_report_match_fresh_ones():
+    # merit_prev is summed from x_k's carried values, and the report reads
+    # x_{k+1}'s evaluation and the gradient formed for the next Hessian
+    sphere, _, _ = sphere_tilt()
+    toys = (
+        (euclidean_toy(), m.SolverConfig(seed=10)),
+        (sphere, m.SolverConfig(seed=11)),
+    )
+    cases = _chain_cases() + tuple((prob, m.random_point(prob.manifold, 0), cfg) for prob, cfg in toys)
+    steps = 0
+    for prob, x0, cfg in cases:
+        state = m.IterateState(x0, m.Multipliers.zeros(prob.m, prob.n), cfg.rho_init, 0)
+        for _ in range(8):
+            state_next, record = m.step(prob, state, cfg)
+            steps += 1
+            assert repr(record.merit_prev) == repr(m.merit(prob, state.x, record.rho))
+            assert repr(record.report) == repr(m.kkt_residual(prob, state_next.x, state_next.eta))
+            if record.residual <= cfg.residual_tol or record.stationary:
+                break
+            state = state_next
+    # the Euclidean toy is a QP, solved in one step
+    assert steps >= 20
 
 
 def test_each_point_is_evaluated_once_per_solve(monkeypatch):
