@@ -101,6 +101,8 @@ def _cmd_bench(parser, args) -> int:
     try:
         with open(args.spec) as fh:
             spec = RunSpec.from_dict(json.load(fh))
+    except OSError as exc:  # missing, a directory, or not readable
+        parser.error(f"cannot read spec file {args.spec}: {exc.strerror or exc}")
     except ValueError as exc:  # invalid JSON too: json.JSONDecodeError is a ValueError
         parser.error(str(exc))
     summary, _ = run(spec, args.out)

@@ -210,6 +210,13 @@ def gen_balanced_cut(q: int, s: int, density: float, seed: int) -> CutInstance:
     return CutInstance(q=q, s=s, density=density, seed=seed, laplacian=_readonly(lap))
 
 
+@functools.lru_cache(maxsize=32)
+def _column_sum_jacobian(q: int, s: int) -> np.ndarray:
+    """The constant (s, qs) Jacobian of X^T e on q x s matrices, one read-only
+    array per shape, so that a pool of problems shares it."""
+    return _readonly(np.tile(np.eye(s), (1, q)))
+
+
 def cut_problem(inst: CutInstance) -> Problem:
     lap = inst.laplacian
     q, s = inst.q, inst.s
@@ -222,13 +229,13 @@ def cut_problem(inst: CutInstance) -> Problem:
         weighted_hessian=lambda x, w, vs: w[0] * (-0.5 * (lap @ vs)),
     )
 
+    jac = _column_sum_jacobian(q, s)
     column_sums = ConstraintBlock(
         size=s,
         # a contiguous row sum adds in the same order as a sum over one
         # strided column; xs.sum(axis=-2) rounds differently
         values=lambda xs: np.ascontiguousarray(np.swapaxes(xs, -1, -2)).sum(axis=-1),
-        # built per call, so that a pool of problems holds no Jacobians
-        jacobian=lambda x: np.tile(np.eye(s), (1, q)),
+        jacobian=lambda x: jac,
     )
     return Problem(
         manifold=inst.manifold,

@@ -41,7 +41,7 @@ tests its ray, the only such vector it forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -110,6 +110,16 @@ class QpModel:
         object.__setattr__(self, "A_eq", _readonly(ae))
         object.__setattr__(self, "b_eq", _readonly(np.asarray(self.b_eq, dtype=float).reshape(ae.shape[0])))
 
+    @classmethod
+    def _adopt(cls, *blocks: np.ndarray) -> "QpModel":
+        """A model of float64 blocks, in field order and of the model's shapes, that
+        no one else writes to: each is marked read-only and kept without a copy."""
+        model = object.__new__(cls)
+        for f, a in zip(fields(cls), blocks):
+            a.setflags(write=False)
+            object.__setattr__(model, f.name, a)
+        return model
+
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.c.size, self.b_ineq.size, self.b_eq.size
@@ -134,12 +144,24 @@ class QpSolution:
     iterations: int
 
 
+def _bitwise_symmetric(a: np.ndarray) -> bool:
+    """Whether a float64 square matrix equals its transpose bit for bit.
+
+    ``==`` would take a -0.0/+0.0 pair for equal, but averaging such a pair
+    turns the -0.0 into +0.0, and ``eigh`` reads one triangle only.
+    """
+    bits = a.view(np.uint64)
+    return bool((bits == bits.T).all())
+
+
 def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
     """Floor the eigenvalues of a symmetric matrix at delta.
 
     Eigenvectors are preserved; every eigenvalue becomes max(delta, lambda_i).
     A matrix whose smallest eigenvalue is already >= delta is returned
-    unchanged.
+    unchanged, as a new array.  H must be symmetric within ``SYMMETRY_TOL``;
+    the eigenvalues are those of (H + H^T) / 2, which is H itself when H
+    equals its transpose bit for bit, so such an H is not averaged.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -148,9 +170,11 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
         raise ValueError("delta must be positive and finite")
     if not np.isfinite(H).all():
         raise ValueError("H has nonfinite entries")
-    if H.size and np.max(np.abs(H - H.T)) > SYMMETRY_TOL:
-        raise ValueError("H is not symmetric")
-    sym = (H + H.T) / 2.0
+    sym = H
+    if not _bitwise_symmetric(H):
+        if np.max(np.abs(H - H.T)) > SYMMETRY_TOL:
+            raise ValueError("H is not symmetric")
+        sym = (H + H.T) / 2.0
     w, q = np.linalg.eigh(sym)
     if not w.size or w[0] >= delta:
         return np.array(H)
@@ -170,16 +194,25 @@ def build_subproblem(
     sides are the negated constraint values, so the model constraints read
     g_i + <grad g_i, d> <= 0 and h_j + <grad h_j, d> = 0.  Values and
     Jacobians are read off ``evaluation``, ``evaluate(prob, x)`` when None.
+
+    ``h_plus`` must be symmetric within ``SYMMETRY_TOL`` (the test is
+    skipped when it equals its transpose bit for bit).  The model's arrays
+    are read-only: ``h_plus`` is copied unless it is read-only and owns its
+    data, and the arrays computed here are kept as they are.
     """
     d = basis.shape[0]
     h_plus = np.asarray(h_plus, dtype=float)
     if h_plus.shape != (d, d):
         raise ValueError("Hessian model has wrong shape for the basis")
-    if h_plus.size and np.max(np.abs(h_plus - h_plus.T)) > SYMMETRY_TOL:
+    if not _bitwise_symmetric(h_plus) and np.max(np.abs(h_plus - h_plus.T)) > SYMMETRY_TOL:
         raise ValueError("Hessian model is not symmetric")
+    if h_plus.flags.writeable or not h_plus.flags.owndata:
+        h_plus = np.array(h_plus)
     ev = evaluation or evaluate(prob, x)
-    c, ai, ae = (jac @ basis.T for jac in ev.jacobians)
-    return QpModel(H=h_plus, c=c, A_ineq=ai, b_ineq=-ev.g, A_eq=ae, b_eq=-ev.h)
+    c, ai, ae = (np.asarray(jac @ basis.T, dtype=float) for jac in ev.jacobians)
+    bi, be = np.asarray(-ev.g, dtype=float), np.asarray(-ev.h, dtype=float)
+    # the reshapes keep QpModel's shape checks on the blocks' callbacks
+    return QpModel._adopt(h_plus, c.reshape(d), ai.reshape(bi.size, d), bi, ae.reshape(be.size, d), be)
 
 
 def kkt_violation(model: QpModel, d: np.ndarray, mu: np.ndarray, lam: np.ndarray) -> float:
@@ -187,20 +220,22 @@ def kkt_violation(model: QpModel, d: np.ndarray, mu: np.ndarray, lam: np.ndarray
 
     Evaluated in extended precision: steps along floored Hessian directions
     can be ~1e8 in norm, where float64 matrix-vector rounding alone would
-    swamp a 1e-10 certificate.
+    swamp a 1e-10 certificate.  Each long-double product is an ``np.dot``,
+    which sums each entry's terms in order, as ``@`` on long doubles does
+    in a slower loop.
     """
     ld = np.longdouble
     ai, ae, dl = model.A_ineq.astype(ld), model.A_eq.astype(ld), d.astype(ld)
-    stat = model.H.astype(ld) @ dl + model.c.astype(ld)
+    stat = np.dot(model.H.astype(ld), dl) + model.c.astype(ld)
     if mu.size:
-        stat = stat + ai.T @ mu.astype(ld)
+        stat = stat + np.dot(ai.T, mu.astype(ld))
     if lam.size:
-        stat = stat + ae.T @ lam.astype(ld)
+        stat = stat + np.dot(ae.T, lam.astype(ld))
     out = float(np.abs(stat).max()) if stat.size else 0.0
     if lam.size:
-        out = max(out, float(np.abs(ae @ dl - model.b_eq.astype(ld)).max()))
+        out = max(out, float(np.abs(np.dot(ae, dl) - model.b_eq.astype(ld)).max()))
     if mu.size:
-        slack = ai @ dl - model.b_ineq.astype(ld)
+        slack = np.dot(ai, dl) - model.b_ineq.astype(ld)
         out = max(out, float(max(0.0, slack.max())))
         out = max(out, float(max(0.0, -mu.min())))
         out = max(out, float(np.abs(mu.astype(ld) * slack).max()))
@@ -221,11 +256,12 @@ def linprog(*args, **kwargs):
 
 
 _REFINE_PASSES = 6
+_EPS = np.finfo(float).eps
 
 
 def _rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
     """Numerical rank of a matrix of the given shape from its singular values."""
-    return int(np.sum(sv > max(shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)))
+    return int(np.sum(sv > max(shape) * _EPS * (sv[0] if sv.size else 0.0)))
 
 
 class _RowFactor(NamedTuple):
@@ -261,20 +297,22 @@ def _check_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _solve_saddle(H, eq: _RowFactor, rows, r1, r2):
+def _solve_saddle(H, eq: _RowFactor, rows, r1, r2, xp=None):
     """Solve [[H, A^T], [A, 0]] (x, y) = (r1, r2) by the null-space method, A = rows.
 
     Returns (x, y, residual), the residual being the max-norm of
-    (r1 - H x - A^T y, r2 - A x) in extended precision, rounded to
-    float64.  ``eq`` is the ``_RowFactor`` of A.  Rank-deficient consistent
-    rows are tolerated and get the minimum-norm y.  The backward error is
-    polished by iterative refinement with extended-precision residuals: when
-    H carries floored eigenvalues near delta, the solution norm scales like
-    1/delta and a single float64 pass would leave the residual orders above
-    the attainable floor.  The reduced Hessian is factored by LAPACK's
-    Cholesky routines directly, the ones ``scipy.linalg.cho_factor``/
-    ``cho_solve`` call, with their finiteness checks; an indefinite one is
-    solved symmetrically, and a singular one raises LinAlgError.
+    (r1 - H x - A^T y, r2 - A x) in extended precision (``np.dot``
+    products, as in ``kkt_violation``), rounded to float64.  ``eq`` is the
+    ``_RowFactor`` of A, and ``xp`` its ``solution(r2)`` when the caller
+    has it.  Rank-deficient consistent rows are tolerated and get the
+    minimum-norm y.  The backward error is polished by iterative refinement
+    with extended-precision residuals: when H carries floored eigenvalues
+    near delta, the solution norm scales like 1/delta and a single float64
+    pass would leave the residual orders above the attainable floor.  The
+    reduced Hessian is factored by LAPACK's Cholesky routines directly, the
+    ones ``scipy.linalg.cho_factor``/``cho_solve`` call, with their
+    finiteness checks; an indefinite one is solved symmetrically, and a
+    singular one raises LinAlgError.
     """
     d = r1.size
     n = eq.u.shape[0]
@@ -291,20 +329,20 @@ def _solve_saddle(H, eq: _RowFactor, rows, r1, r2):
                 _check_finite(rhs)
                 return dpotrs(red_cf, rhs, lower=False)[0]
 
-    def direct(r1_, r2_):
-        x = eq.solution(r2_)
+    def direct(r1_, r2_, x=None):
+        x = eq.solution(r2_) if x is None else x
         if z.shape[1]:
             x = x + z @ solve_red(z.T @ (r1_ - H @ x))
         return x, eq.multipliers(r1_ - H @ x)
 
     ld = np.longdouble
     hl, al, r1l, r2l = (a.astype(ld) for a in (H, rows, r1, r2))
-    x, lam = direct(r1, r2)
+    x, lam = direct(r1, r2, xp)
     best = None
     for sweep in range(_REFINE_PASSES + 1):
         xl = x.astype(ld)
-        res1 = np.asarray(r1l - hl @ xl - al.T @ lam.astype(ld), dtype=float)
-        res2 = np.asarray(r2l - al @ xl, dtype=float)
+        res1 = np.asarray(r1l - np.dot(hl, xl) - np.dot(al.T, lam.astype(ld)), dtype=float)
+        res2 = np.asarray(r2l - np.dot(al, xl), dtype=float)
         size = max(
             float(np.abs(res1).max()) if d else 0.0,
             float(np.abs(res2).max()) if n else 0.0,
@@ -511,7 +549,7 @@ def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
     if m == 0:
         # with r1 = -c and r2 = b_eq the refinement's residual is the KKT
         # violation, in the same order of terms as ``kkt_violation``
-        x, lam, err = _solve_saddle(model.H, eq, model.A_eq, -model.c, model.b_eq)
+        x, lam, err = _solve_saddle(model.H, eq, model.A_eq, -model.c, model.b_eq, xp)
         status = "optimal" if err <= tol else "max_iter"
         return QpSolution(d=x, eta=Multipliers(np.zeros(0), lam), kkt_error=err, status=status, iterations=1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

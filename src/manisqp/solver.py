@@ -282,9 +282,14 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
 
     if cfg.b_strategy == "modified_hessian":
         hl = lagrangian_hessian_matrix(prob, x, eta, basis, ev, state.gradient)
-        if not np.all(np.isfinite(hl)):
-            raise StallError("Lagrangian Hessian has nonfinite entries")
-        b = modify_hessian(hl, cfg.delta)
+        try:
+            b = modify_hessian(hl, cfg.delta)
+        except ValueError:
+            # hl is square and cfg.delta valid: a nonfinite hl is the one
+            # rejection that names the Hessian, anything else propagates
+            if np.isfinite(hl).all():
+                raise
+            raise StallError("Lagrangian Hessian has nonfinite entries") from None
     else:
         b = np.eye(basis.shape[0])
 

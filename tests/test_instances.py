@@ -145,6 +145,12 @@ def test_cut_column_sum_constraints():
     g, h = m.constraint_values(prob, x)
     assert g.size == 0
     assert np.allclose(h, x.ambient.sum(axis=0))
+    # the constant Jacobian is one read-only array per shape
+    jac = prob.eq.jacobian(x.ambient)
+    assert np.array_equal(jac, np.tile(np.eye(2), (1, 20)))
+    assert not jac.flags.writeable
+    other = m.cut_problem(m.gen_balanced_cut(20, 2, 0.5, seed=5))
+    assert other.eq.jacobian(m.random_point(inst.manifold, 3).ambient) is jac
 
 
 def test_random_cut_start_on_manifold_and_deterministic():

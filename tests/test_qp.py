@@ -20,6 +20,7 @@ import manisqp as m
 from manisqp import qp
 
 from qp_oracle import oracle_qp, random_qp, reference_saddle
+from util import bundled_problems
 
 
 def _saddle(h, ae, r1, r2):
@@ -94,6 +95,68 @@ def test_modify_hessian_idempotent_and_norm_bounded():
         assert norm_out <= max(delta, norm_in) * (1.0 + 1e-12)
 
 
+def _floored(h, delta):
+    """The floor with the average always taken: eigh((H + H^T) / 2), then max(w, delta)."""
+    w, q = np.linalg.eigh((h + h.T) / 2.0)
+    if w[0] >= delta:
+        return np.array(h)
+    out = (q * np.maximum(w, delta)) @ q.T
+    return (out + out.T) / 2.0
+
+
+def test_modify_hessian_averages_only_a_matrix_that_differs_from_its_transpose(monkeypatch):
+    # an H equal to its transpose bit for bit reaches eigh as it is, since
+    # (H + H^T) / 2 is that H; one symmetric within SYMMETRY_TOL is averaged,
+    # and so is a -0.0/+0.0 pair, which == would take for equal
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        seen.append(np.array(a))
+        return eigh(a)
+
+    rng = np.random.default_rng(3)
+    for trial in range(40):
+        d = int(rng.integers(2, 9))
+        a = rng.normal(size=(d, d))
+        exact = (a + a.T) / 2.0
+        near = exact.copy()
+        near[0, d - 1] += 1e-10
+        signed_zero = exact.copy()
+        signed_zero[d - 1, 0], signed_zero[0, d - 1] = -0.0, 0.0
+        delta = float(rng.choice([1e-8, 0.5]))
+        for h, averaged in ((exact, False), (exact.T, False), (near, True), (signed_zero, True)):
+            want = _floored(h, delta)
+            monkeypatch.setattr(np.linalg, "eigh", spy)
+            got = m.modify_hessian(h, delta)
+            monkeypatch.setattr(np.linalg, "eigh", eigh)
+            assert got.tobytes() == want.tobytes(), trial
+            assert seen.pop().tobytes() == ((h + h.T) / 2.0 if averaged else h).tobytes(), trial
+    # the pair alone: the average turns the lower triangle's -0.0 into +0.0
+    assert np.signbit(signed_zero[d - 1, 0]) and not np.signbit(((signed_zero + signed_zero.T) / 2.0)[d - 1, 0])
+    # unaveraged, an entry above half the largest float no longer overflows
+    big = np.diag([1e308, 1.0])
+    assert m.modify_hessian(big, 1e-3).tobytes() == big.tobytes()
+
+
+def test_build_subproblem_model_is_read_only_and_keeps_its_hessian():
+    for name, prob, x in bundled_problems(seed=4):
+        basis = m.orthonormal_basis(x, 5)
+        eta = m.Multipliers.zeros(prob.m, prob.n)
+        h = m.modify_hessian(m.lagrangian_hessian_matrix(prob, x, eta, basis), 1e-5)
+        model = m.build_subproblem(prob, x, basis, h)
+        for block in (model.H, model.c, model.A_ineq, model.b_ineq, model.A_eq, model.b_eq):
+            assert not block.flags.writeable, name
+        assert model.dims == (basis.shape[0], prob.m, prob.n), name
+        kept = model.H.copy()
+        h[...] = 7.0  # the caller's array, written after the build
+        assert model.H.tobytes() == kept.tobytes(), name
+        # a read-only array that owns its data is kept without a copy
+        frozen = np.array(kept)
+        frozen.setflags(write=False)
+        assert m.build_subproblem(prob, x, basis, frozen).H is frozen, name
+
+
 def test_build_subproblem_unconstrained_euclidean_canonical():
     man = m.Euclidean(2)
     obj = m.SmoothFunction(
@@ -148,6 +211,69 @@ def test_kkt_violation_hand_example():
     # at the optimum d = -0.2, mu = 1.2 everything vanishes
     err = m.kkt_violation(model, np.array([-0.2]), np.array([1.2]), np.zeros(0))
     assert err < 1e-15
+
+
+def _ld_dot(a, v):
+    """a v in long double, each entry summed term by term from zero in index order."""
+    out = np.zeros(a.shape[0], dtype=np.longdouble)
+    for i in range(a.shape[0]):
+        acc = np.longdouble(0.0)
+        for j in range(a.shape[1]):
+            acc += a[i, j] * v[j]
+        out[i] = acc
+    return out
+
+
+def _kkt_reference(model, d, mu, lam):
+    """``kkt_violation`` with every long-double product a sequential loop."""
+    ld = np.longdouble
+    ai, ae, dl = model.A_ineq.astype(ld), model.A_eq.astype(ld), d.astype(ld)
+    stat = _ld_dot(model.H.astype(ld), dl) + model.c.astype(ld)
+    if mu.size:
+        stat = stat + _ld_dot(ai.T, mu.astype(ld))
+    if lam.size:
+        stat = stat + _ld_dot(ae.T, lam.astype(ld))
+    out = float(np.abs(stat).max()) if stat.size else 0.0
+    if lam.size:
+        out = max(out, float(np.abs(_ld_dot(ae, dl) - model.b_eq.astype(ld)).max()))
+    if mu.size:
+        slack = _ld_dot(ai, dl) - model.b_ineq.astype(ld)
+        out = max(out, float(max(0.0, slack.max())), float(max(0.0, -mu.min())))
+        out = max(out, float(np.abs(mu.astype(ld) * slack).max()))
+    return out
+
+
+def _with_transposed_blocks(model):
+    """The model with H and both row blocks stored column-major."""
+    f = np.asfortranarray
+    return m.QpModel(f(model.H), model.c, f(model.A_ineq), model.b_ineq, f(model.A_eq), model.b_eq)
+
+
+def test_long_double_products_sum_in_order():
+    # kkt_violation and the saddle solve's residual take their products by
+    # np.dot, which must give the bits of a sequential long-double sum on
+    # row- and column-major blocks and on empty m or n
+    rng = np.random.default_rng(29)
+    models = [m.QpModel(*random_qp(rng)) for _ in range(60)]
+    models += [_with_transposed_blocks(model) for model in models]
+    assert any(model.H.flags.f_contiguous and not model.H.flags.c_contiguous for model in models)
+    dims = {(model.dims[1] > 0, model.dims[2] > 0) for model in models}
+    assert dims == {(False, False), (False, True), (True, False), (True, True)}
+    ld = np.longdouble
+    for i, model in enumerate(models):
+        d, mm, n = model.dims
+        sol = m.solve_qp(model)
+        random_point = (1e3 * rng.normal(size=d), rng.normal(size=mm), rng.normal(size=n))
+        # at the solution the terms cancel, and the order of the sums shows
+        for point in (random_point, (sol.d, sol.eta.mu, sol.eta.lam)):
+            assert m.kkt_violation(model, *point) == _kkt_reference(model, *point), i
+        h, rows, r1, r2 = model.H, model.A_eq, -model.c, model.b_eq
+        x, y, res = qp._solve_saddle(h, qp._factor_rows(rows), rows, r1, r2)
+        hl, al, xl = h.astype(ld), rows.astype(ld), x.astype(ld)
+        res1 = np.asarray(r1.astype(ld) - _ld_dot(hl, xl) - _ld_dot(al.T, y.astype(ld)), dtype=float)
+        res2 = np.asarray(r2.astype(ld) - _ld_dot(al, xl), dtype=float)
+        want = max(float(np.abs(res1).max()), float(np.abs(res2).max()) if n else 0.0)
+        assert res == want, i
 
 
 def test_solve_qp_unconstrained_example():

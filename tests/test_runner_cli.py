@@ -339,6 +339,16 @@ def test_cli_bench_spec_that_is_not_a_json_object_is_a_usage_error(tmp_path, cap
         assert message in capsys.readouterr().err
 
 
+def test_cli_bench_spec_that_cannot_be_read_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read spec file {path}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_gen_matches_generator(tmp_path):
     path = tmp_path / "inst.json"
     rc = main(

@@ -375,6 +375,21 @@ def test_verdict_stalled_on_nonfinite_subproblem_data(kind, capfd):
     assert capfd.readouterr().err == ""  # no LAPACK complaint
 
 
+def test_verdict_stalled_on_a_nonfinite_lagrangian_hessian():
+    # the finiteness test is modify_hessian's; step names the Hessian
+    man = m.Euclidean(2)
+    obj = m.SmoothFunction(
+        value=lambda x: float(x @ x),
+        gradient=lambda x: 2.0 * x,
+        hess_vec=lambda x, v: np.array([np.inf * v[0], v[1]]),
+    )
+    with np.errstate(invalid="ignore"):
+        state, trace = m.solve(m.Problem(man, obj), man.point(np.array([1.0, 0.5])))
+    assert trace.verdict == "stalled"
+    assert trace.reason == "Lagrangian Hessian has nonfinite entries"
+    assert trace.records == []
+
+
 def test_verdict_stalled_when_the_saddle_solve_overflows():
     # finite subproblem data whose saddle right-hand side H x_p overflows:
     # the saddle solve's finiteness check ends the run instead of escaping
