@@ -341,14 +341,15 @@ def feasible_start(
 
     Runs the SQP iteration on the pure feasibility problem (zero objective,
     same constraints) from a random rank-p start, stopping as soon as the
-    largest violation drops to tol.  An explicit ``x0`` that already meets
-    tol is returned untouched.  A random start can linearize the constraints
+    largest violation drops to tol.  A start that already meets tol, an
+    explicit ``x0`` or the first random one, is returned untouched, even
+    at ``max_iter`` = 0.  A random start can linearize the constraints
     infeasibly or stall; the phase then restarts from a fresh seeded point,
     with at most 32 attempts sharing the ``max_iter`` step budget.  Raises
     RuntimeError, naming the limit and the steps used, when the budget or
-    the attempts run out before reaching tol, and ValueError for a tol that
-    is NaN or negative, a ``max_iter`` that is not a nonnegative integer or
-    an ``x0`` with nonfinite entries or on another manifold.
+    the attempts run out before reaching tol, and ValueError for a tol
+    that is NaN or negative, a ``max_iter`` that is not a nonnegative
+    integer or an ``x0`` with nonfinite entries or on another manifold.
     """
     if not tol >= 0.0:  # written so that NaN is rejected too
         raise ValueError("tol must be nonnegative")
@@ -362,19 +363,18 @@ def feasible_start(
     man = inst.manifold
     prob = completion_problem(inst)
     feas = Problem(manifold=man, objective=_ZERO, inequalities=prob.ineq, equalities=prob.eq)
-    if x0 is not None and _max_violation(*constraint_values(feas, x0)) <= tol:
-        return x0
 
     budget = max_iter
     attempt = 0
-    while budget > 0 and attempt < 32:
+    # the first start is tested before any of the budget is spent
+    while attempt == 0 or (budget > 0 and attempt < 32):
         if x0 is None:
             rng = np.random.default_rng(
                 np.random.SeedSequence((int(inst.seed), _SALT_FEAS, attempt))
             )
             x0 = man.random_array(rng)
-            if _max_violation(*constraint_values(feas, x0)) <= tol:
-                return x0
+        if _max_violation(*constraint_values(feas, x0)) <= tol:
+            return x0
         seed_int = int(
             np.random.SeedSequence((int(inst.seed), _SALT_FEAS, attempt, 1)).generate_state(1)[0]
         )

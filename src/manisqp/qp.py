@@ -5,9 +5,11 @@ The model is
     min_d  (1/2) d^T H d + c^T d
     s.t.   A_ineq d <= b_ineq,   A_eq d = b_eq,
 
-with H symmetric positive definite.  ``solve_qp`` certifies its answer
-against the KKT conditions of this model and never reports "optimal"
-without the certificate holding to the requested tolerance.
+with H symmetric positive definite.  The ``QpModel`` constructor is the
+one place that checks a model's blocks (shapes, finite entries, symmetric
+H).  ``solve_qp`` certifies its answer against the KKT conditions of this
+model and never reports "optimal" without the certificate holding to the
+requested tolerance.
 
 One SVD of A_eq per model gives its rank, the minimum-norm solution x_p of
 A_eq d = b_eq, a null-space basis Z and the minimum-norm multipliers of any
@@ -41,14 +43,14 @@ tests its ray, the only such vector it forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
-from .manifolds import ManifoldPoint, _readonly
+from .manifolds import ManifoldPoint
 # perfbench's layer tracer patches constraint_values here, so the name stays imported
 from .problem import Evaluation, Multipliers, Problem, constraint_values, evaluate  # noqa: F401
 
@@ -89,7 +91,17 @@ _AS_DEPENDENT = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class QpModel:
-    """Data of one tangent-space subproblem (see module docstring)."""
+    """Data of one tangent-space subproblem (see module docstring).
+
+    The constructor is the one gate into the QP layer.  It coerces each
+    block to its shape (d from c, the row counts from the right-hand
+    sides, so that d = 0 works too) and rejects, naming the block, one of
+    another shape or with a nonfinite entry, and an H that is not
+    symmetric within ``SYMMETRY_TOL`` (the test is skipped when H equals
+    its transpose bit for bit).  The blocks are read-only: one that is
+    already a read-only float64 array owning its data is kept without a
+    copy, anything else is copied in its own memory order.
+    """
 
     H: np.ndarray
     c: np.ndarray
@@ -99,26 +111,23 @@ class QpModel:
     b_eq: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.c, dtype=float).size
-        object.__setattr__(self, "H", _readonly(np.asarray(self.H, dtype=float).reshape(d, d)))
-        object.__setattr__(self, "c", _readonly(np.asarray(self.c, dtype=float).reshape(d)))
-        # row counts come from the right-hand sides, so that d = 0 works too
-        ai = np.asarray(self.A_ineq, dtype=float).reshape(np.size(self.b_ineq), d)
-        ae = np.asarray(self.A_eq, dtype=float).reshape(np.size(self.b_eq), d)
-        object.__setattr__(self, "A_ineq", _readonly(ai))
-        object.__setattr__(self, "b_ineq", _readonly(np.asarray(self.b_ineq, dtype=float).reshape(ai.shape[0])))
-        object.__setattr__(self, "A_eq", _readonly(ae))
-        object.__setattr__(self, "b_eq", _readonly(np.asarray(self.b_eq, dtype=float).reshape(ae.shape[0])))
-
-    @classmethod
-    def _adopt(cls, *blocks: np.ndarray) -> "QpModel":
-        """A model of float64 blocks, in field order and of the model's shapes, that
-        no one else writes to: each is marked read-only and kept without a copy."""
-        model = object.__new__(cls)
-        for f, a in zip(fields(cls), blocks):
-            a.setflags(write=False)
-            object.__setattr__(model, f.name, a)
-        return model
+        d, m, n = np.size(self.c), np.size(self.b_ineq), np.size(self.b_eq)
+        shapes = {"H": (d, d), "c": (d,), "A_ineq": (m, d), "b_ineq": (m,), "A_eq": (n, d), "b_eq": (n,)}
+        for name, shape in shapes.items():
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata and not a.flags.writeable):
+                a = np.array(a, dtype=float)
+                a.setflags(write=False)
+            if a.shape != shape:
+                try:
+                    a = a.reshape(shape)
+                except ValueError:
+                    raise ValueError(f"subproblem {name} has shape {a.shape}, expected {shape}") from None
+            if not np.isfinite(a).all():
+                raise ValueError(f"subproblem {name} has nonfinite entries")
+            object.__setattr__(self, name, a)
+        if not _bitwise_symmetric(self.H) and np.max(np.abs(self.H - self.H.T)) > SYMMETRY_TOL:
+            raise ValueError("subproblem H is not symmetric")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -161,7 +170,8 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
     A matrix whose smallest eigenvalue is already >= delta is returned
     unchanged, as a new array.  H must be symmetric within ``SYMMETRY_TOL``;
     the eigenvalues are those of (H + H^T) / 2, which is H itself when H
-    equals its transpose bit for bit, so such an H is not averaged.
+    equals its transpose bit for bit, so such an H is not averaged.  Only
+    where H + H^T overflows is the average taken as H/2 + H^T/2 instead.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -174,7 +184,10 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
     if not _bitwise_symmetric(H):
         if np.max(np.abs(H - H.T)) > SYMMETRY_TOL:
             raise ValueError("H is not symmetric")
-        sym = (H + H.T) / 2.0
+        with np.errstate(over="ignore"):
+            sym = (H + H.T) / 2.0
+        if not np.isfinite(sym).all():
+            sym = H / 2.0 + H.T / 2.0
     w, q = np.linalg.eigh(sym)
     if not w.size or w[0] >= delta:
         return np.array(H)
@@ -195,24 +208,13 @@ def build_subproblem(
     g_i + <grad g_i, d> <= 0 and h_j + <grad h_j, d> = 0.  Values and
     Jacobians are read off ``evaluation``, ``evaluate(prob, x)`` when None.
 
-    ``h_plus`` must be symmetric within ``SYMMETRY_TOL`` (the test is
-    skipped when it equals its transpose bit for bit).  The model's arrays
-    are read-only: ``h_plus`` is copied unless it is read-only and owns its
-    data, and the arrays computed here are kept as they are.
+    The blocks pass through ``QpModel``'s gate: ``h_plus`` must be symmetric
+    within ``SYMMETRY_TOL`` and every block finite, and ``h_plus`` is kept
+    without a copy when it is read-only and owns its data.
     """
-    d = basis.shape[0]
-    h_plus = np.asarray(h_plus, dtype=float)
-    if h_plus.shape != (d, d):
-        raise ValueError("Hessian model has wrong shape for the basis")
-    if not _bitwise_symmetric(h_plus) and np.max(np.abs(h_plus - h_plus.T)) > SYMMETRY_TOL:
-        raise ValueError("Hessian model is not symmetric")
-    if h_plus.flags.writeable or not h_plus.flags.owndata:
-        h_plus = np.array(h_plus)
     ev = evaluation or evaluate(prob, x)
-    c, ai, ae = (np.asarray(jac @ basis.T, dtype=float) for jac in ev.jacobians)
-    bi, be = np.asarray(-ev.g, dtype=float), np.asarray(-ev.h, dtype=float)
-    # the reshapes keep QpModel's shape checks on the blocks' callbacks
-    return QpModel._adopt(h_plus, c.reshape(d), ai.reshape(bi.size, d), bi, ae.reshape(be.size, d), be)
+    c, ai, ae = (jac @ basis.T for jac in ev.jacobians)
+    return QpModel(h_plus, c, ai, -ev.g, ae, -ev.h)
 
 
 def kkt_violation(model: QpModel, d: np.ndarray, mu: np.ndarray, lam: np.ndarray) -> float:
@@ -291,12 +293,6 @@ def _factor_rows(a: np.ndarray) -> _RowFactor:
     return _RowFactor(u[:, :rank], sv[:rank], vt[:rank].T, vt[rank:].T)
 
 
-def _check_finite(a: np.ndarray) -> None:
-    # scipy.linalg's check_finite, which cho_factor and cho_solve applied
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-
-
 def _solve_saddle(H, eq: _RowFactor, rows, r1, r2, xp=None):
     """Solve [[H, A^T], [A, 0]] (x, y) = (r1, r2) by the null-space method, A = rows.
 
@@ -310,23 +306,27 @@ def _solve_saddle(H, eq: _RowFactor, rows, r1, r2, xp=None):
     near delta, the solution norm scales like 1/delta and a single float64
     pass would leave the residual orders above the attainable floor.  The
     reduced Hessian is factored by LAPACK's Cholesky routines directly, the
-    ones ``scipy.linalg.cho_factor``/``cho_solve`` call, with their
-    finiteness checks; an indefinite one is solved symmetrically, and a
-    singular one raises LinAlgError.
+    ones ``scipy.linalg.cho_factor``/``cho_solve`` call; an indefinite one
+    is solved symmetrically, and a singular one raises LinAlgError.  The
+    data are finite, since they come from a ``QpModel``, but Z^T H Z can
+    still overflow: a nonfinite reduced Hessian raises the ValueError of
+    scipy's ``check_finite``.  The reduced right-hand sides are not tested:
+    one that overflows makes the residual nonfinite, so that no certificate
+    holds for the answer.
     """
     d = r1.size
     n = eq.u.shape[0]
     z = eq.z
     if z.shape[1]:
         red = z.T @ H @ z
-        _check_finite(red)
+        if not np.isfinite(red).all():
+            raise ValueError("array must not contain infs or NaNs")
         red_cf, info = dpotrf(red, lower=False, clean=True)
         if info > 0:
             def solve_red(rhs):
                 return scipy.linalg.solve(red, rhs, assume_a="sym")
         else:
             def solve_red(rhs):
-                _check_finite(rhs)
                 return dpotrs(red_cf, rhs, lower=False)[0]
 
     def direct(r1_, r2_, x=None):
@@ -529,14 +529,11 @@ def solve_qp(model: QpModel, tol: float = 1e-10) -> QpSolution:
     proves that every point violates the linearized constraints by more
     than 1e-8 in total, and "max_iter" when the route ends without a
     certificate.
-    Raises ValueError for a tol that is not positive and finite, and names
-    a block with a nonfinite entry.
+    Raises ValueError for a tol that is not positive and finite; the
+    model's data were checked by its constructor.
     """
     if not 0.0 < tol < np.inf:  # written so that NaN is rejected too
         raise ValueError("tol must be positive and finite")
-    for name in ("H", "c", "A_ineq", "b_ineq", "A_eq", "b_eq"):
-        if not np.isfinite(getattr(model, name)).all():
-            raise ValueError(f"subproblem {name} has nonfinite entries")
     d, m, n = model.dims
     # one factorization of A_eq serves both routes
     eq = _factor_rows(model.A_eq)

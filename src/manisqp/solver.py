@@ -293,10 +293,9 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
     else:
         b = np.eye(basis.shape[0])
 
-    model = build_subproblem(prob, x, basis, b, ev)
     try:
-        sol = solve_qp(model, cfg.qp_tol)
-    except ValueError as exc:  # nonfinite subproblem data, or a nonfinite saddle-solve intermediate
+        sol = solve_qp(build_subproblem(prob, x, basis, b, ev), cfg.qp_tol)
+    except ValueError as exc:  # subproblem data the model's gate rejects, or a nonfinite reduced Hessian
         raise StallError(str(exc)) from None
     if sol.status == "infeasible":
         raise QpInfeasibleError(f"subproblem infeasible at iteration {k}")

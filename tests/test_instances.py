@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import manisqp as m
+from manisqp import instances
 from manisqp.instances import _max_violation, instance_size
 from manisqp.runner import trial_seed
 
@@ -194,6 +195,20 @@ def test_feasible_start_validates_its_target_and_budget():
     # a zero target stays valid: the phase runs and fails on its budget
     with pytest.raises(RuntimeError, match="did not reach violation 0.0 in 0 iterations"):
         m.feasible_start(inst, tol=0.0, max_iter=0)
+
+
+def test_feasible_start_returns_a_fitting_first_start_without_a_step(monkeypatch):
+    # the first seeded start already meets tol = 1e9, so no budget is
+    # needed: max_iter = 0 returns the point that max_iter = 1 returns
+    inst = m.gen_completion(4, 8, 2, 3)
+    want = m.feasible_start(inst, tol=1e9, max_iter=1)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("feasible_start took a step")
+
+    monkeypatch.setattr(instances, "step", no_step)
+    for max_iter in (0, 1):
+        assert m.feasible_start(inst, tol=1e9, max_iter=max_iter).ambient.tobytes() == want.ambient.tobytes()
 
 
 def test_feasible_start_names_the_attempt_cap():

@@ -139,6 +139,16 @@ def test_modify_hessian_averages_only_a_matrix_that_differs_from_its_transpose(m
     assert m.modify_hessian(big, 1e-3).tobytes() == big.tobytes()
 
 
+def test_modify_hessian_averages_without_overflow():
+    # symmetric within SYMMETRY_TOL but not bit for bit, with an entry above
+    # half the largest float: (H + H^T) / 2 overflows, H/2 + H^T/2 does not,
+    # and the eigenvalues 1 and 1e308 leave H unchanged
+    h = np.array([[1e308, 1e-20], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert m.modify_hessian(h, 1e-3).tobytes() == h.tobytes()
+
+
 def test_build_subproblem_model_is_read_only_and_keeps_its_hessian():
     for name, prob, x in bundled_problems(seed=4):
         basis = m.orthonormal_basis(x, 5)
@@ -484,8 +494,42 @@ def test_equality_path_certifies_huge_floored_steps():
 
 
 def test_qp_model_validation():
-    with pytest.raises(ValueError):
-        m.QpModel(np.eye(3), np.zeros(2), np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros(0))
+    # the constructor is the QP layer's one gate, and names the block it rejects
+    none2 = (np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(ValueError, match=r"subproblem H has shape \(3, 3\), expected \(2, 2\)"):
+        m.QpModel(np.eye(3), np.zeros(2), *none2, *none2)
+    with pytest.raises(ValueError, match=r"subproblem A_eq has shape \(1, 3\), expected \(1, 2\)"):
+        m.QpModel(np.eye(2), np.zeros(2), *none2, np.zeros((1, 3)), np.zeros(1))
+    # a block of the right size is coerced to its shape
+    assert m.QpModel(np.eye(2).ravel(), [[1.0, 2.0]], *none2, *none2).c.shape == (2,)
+    # the symmetry test comes after the finiteness test, so without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="subproblem H is not symmetric"):
+            m.QpModel(np.array([[1.0, 1e-7], [0.0, 1.0]]), np.zeros(2), *none2, *none2)
+        with pytest.raises(ValueError, match="subproblem H has nonfinite entries"):
+            m.QpModel(np.array([[1.0, np.inf], [0.0, 1.0]]), np.zeros(2), *none2, *none2)
+    # within SYMMETRY_TOL, H is kept as it is
+    near = np.array([[1.0, 1e-9], [0.0, 1.0]])
+    assert m.QpModel(near, np.zeros(2), *none2, *none2).H.tobytes() == near.tobytes()
+
+
+def test_qp_model_gate_copies_only_what_others_can_write():
+    none2 = (np.zeros((0, 2)), np.zeros(0))
+    frozen = np.eye(2)
+    frozen.setflags(write=False)
+    column_major = np.asfortranarray([[2.0, 1.0], [1.0, 2.0]])
+    view = frozen[:, ::-1][:, ::-1]  # read-only, but it does not own its data
+    model = m.QpModel(frozen, np.zeros(2), *none2, *none2)
+    assert model.H is frozen
+    for h in (column_major, view, [[1.0, 0.0], [0.0, 1.0]], np.eye(2, dtype=np.float32)):
+        model = m.QpModel(h, np.zeros(2), *none2, *none2)
+        assert model.H is not h and model.H.dtype == float and not model.H.flags.writeable
+        assert np.array_equal(model.H, h)
+    # the copy keeps the memory order, and the caller's array stays writable
+    model = m.QpModel(column_major, np.zeros(2), *none2, *none2)
+    assert model.H.flags.f_contiguous and not model.H.flags.c_contiguous
+    assert column_major.flags.writeable
 
 
 def _dense_rows_qp(rng, d=4, n_ineq=8, n_eq=2):
@@ -608,7 +652,7 @@ def test_degenerate_models_emit_no_runtime_warning():
             assert m.solve_qp(model, 1e-10).status in ("optimal", "infeasible", "max_iter")
 
 
-def test_overflowing_centering_parameter_ends_the_path():
+def test_badly_scaled_model_ends_without_a_runtime_warning():
     # a finite, badly scaled model (H, c and b scaled by ~4e182, A_ineq by
     # ~5e42) on which an interior-point path once overflowed its centering
     # parameter: the active-set route decides it without a RuntimeWarning
@@ -659,16 +703,19 @@ def test_saddle_solve_returns_the_cholesky_wrappers_bits(monkeypatch):
 
 
 def test_saddle_solve_rejects_nonfinite_data_like_cho_factor():
-    # a nonfinite reduced Hessian, or right-hand side of the reduced
-    # system, raises the ValueError of scipy's check_finite
+    # a nonfinite reduced Hessian raises the ValueError of scipy's
+    # check_finite
     h = np.array([[1.0, 0.0], [0.0, np.inf]])
     rows = np.zeros((0, 2))
-    for hh, r1 in ((h, np.ones(2)), (np.eye(2), np.array([1.0, np.nan]))):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as want:
-            reference_saddle(hh, rows, r1, np.zeros(0))
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as got:
-            _saddle(hh, rows, r1, np.zeros(0))
-        assert str(got.value) == str(want.value) == "array must not contain infs or NaNs"
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as want:
+        reference_saddle(h, rows, np.ones(2), np.zeros(0))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as got:
+        _saddle(h, rows, np.ones(2), np.zeros(0))
+    assert str(got.value) == str(want.value) == "array must not contain infs or NaNs"
+    # a nonfinite right-hand side is not tested: its residual is NaN, which
+    # no certificate accepts (a model's own blocks are finite by its gate)
+    res = qp._solve_saddle(np.eye(2), qp._factor_rows(rows), rows, np.array([1.0, np.nan]), np.zeros(0))[2]
+    assert np.isnan(res)
     # an overflowing but finite H: the reduced Hessian z^T H z is inf
     big = np.full((2, 2), 1e308)
     rows = np.array([[1.0, -1.0]])
@@ -705,7 +752,7 @@ def _check_dependent_row_solution(model, original, label, solve=m.solve_qp):
     assert sol.kkt_error == m.kkt_violation(model, sol.d, sol.eta.mu, sol.eta.lam) <= 1e-10
 
 
-def test_interior_point_route_runs_in_the_null_space_of_dependent_rows():
+def test_active_set_route_runs_in_the_null_space_of_dependent_rows():
     # a repeated equality row would make a full-space system singular; the
     # active-set route runs in the null space of the rows and is certified
     # against the whole model
@@ -737,7 +784,7 @@ def test_dependent_equality_rows_are_found_without_a_zero_pivot():
         _check_dependent_row_solution(*models[draw], draw)
 
 
-def test_interior_point_route_decides_inconsistent_dependent_rows_infeasible(monkeypatch):
+def test_inconsistent_dependent_rows_are_infeasible_before_any_step(monkeypatch):
     # decided for both routes in one place, before any iteration and
     # without the dual certificate
     calls = []
@@ -780,7 +827,7 @@ def test_solve_qp_rejects_a_tol_that_is_not_positive_and_finite():
             m.solve_qp(model, bad)
 
 
-def test_active_set_route_keeps_the_interior_point_verdicts():
+def test_active_set_route_decides_every_model_as_the_oracle_does():
     # every model is decided, and as the oracle decides it: an optimal
     # answer is the oracle's, an infeasible model has no oracle answer
     rng = np.random.default_rng(45)
@@ -862,7 +909,7 @@ def test_undecided_answer_is_the_last_iterate(monkeypatch):
     assert np.count_nonzero(sol.eta.mu) == 2
 
 
-def test_active_set_route_certifies_what_the_interior_point_leaves_uncertified():
+def test_active_set_route_certifies_a_badly_scaled_feasible_draw():
     # a feasible stress draw (H, c and b scaled by ~2e3, A_ineq by ~2e38):
     # two active-set steps reach the optimum
     model = _stress_models(2260)[2259]

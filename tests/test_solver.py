@@ -392,7 +392,8 @@ def test_verdict_stalled_on_a_nonfinite_lagrangian_hessian():
 
 def test_verdict_stalled_when_the_saddle_solve_overflows():
     # finite subproblem data whose saddle right-hand side H x_p overflows:
-    # the saddle solve's finiteness check ends the run instead of escaping
+    # the answer's residual is nonfinite, so the run stalls uncertified
+    # instead of escaping
     man = m.Euclidean(2)
     obj = m.SmoothFunction(
         value=lambda x: 0.5 * float(1e307 * x[0] * x[0] + x[1] * x[1]),
@@ -408,7 +409,7 @@ def test_verdict_stalled_when_the_saddle_solve_overflows():
     with np.errstate(over="ignore", invalid="ignore"):
         state, trace = m.solve(prob, man.point(np.zeros(2)))
     assert trace.verdict == "stalled"
-    assert trace.reason == "array must not contain infs or NaNs"
+    assert trace.reason == "subproblem solver failed to certify at iteration 0"
     assert trace.records == []
 
 
