@@ -341,7 +341,9 @@ def feasible_start(
 
     Runs the SQP iteration on the pure feasibility problem (zero objective,
     same constraints) from a random rank-p start, stopping as soon as the
-    largest violation drops to tol.  A start that already meets tol, an
+    largest violation drops to tol.  It keeps the fixed eigenvalue floor
+    (``curvature_scale`` 0), so its start points do not depend on the
+    solve phase's cap on negative curvature.  A start that already meets tol, an
     explicit ``x0`` or the first random one, is returned untouched, even
     at ``max_iter`` = 0.  A random start can linearize the constraints
     infeasibly or stall; the phase then restarts from a fresh seeded point,
@@ -378,7 +380,7 @@ def feasible_start(
         seed_int = int(
             np.random.SeedSequence((int(inst.seed), _SALT_FEAS, attempt, 1)).generate_state(1)[0]
         )
-        cfg = SolverConfig(residual_tol=0.0, seed=seed_int)
+        cfg = SolverConfig(residual_tol=0.0, seed=seed_int, curvature_scale=0.0)
         state = IterateState(x=x0, eta=Multipliers.zeros(feas.m, feas.n), rho=cfg.rho_init, k=0)
         try:
             while budget > 0:

@@ -163,21 +163,28 @@ def _bitwise_symmetric(a: np.ndarray) -> bool:
     return bool((bits == bits.T).all())
 
 
-def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
+def modify_hessian(H: np.ndarray, delta: float, cap: float = 0.0) -> np.ndarray:
     """Floor the eigenvalues of a symmetric matrix at delta.
 
     Eigenvectors are preserved; every eigenvalue becomes max(delta, lambda_i).
-    A matrix whose smallest eigenvalue is already >= delta is returned
-    unchanged, as a new array.  H must be symmetric within ``SYMMETRY_TOL``;
-    the eigenvalues are those of (H + H^T) / 2, which is H itself when H
-    equals its transpose bit for bit, so such an H is not averaged.  Only
-    where H + H^T overflows is the average taken as H/2 + H^T/2 instead.
+    With a ``cap`` above delta (possibly inf), a negative eigenvalue
+    lambda_i becomes max(delta, min(-lambda_i, cap)) instead: its curvature
+    is reversed up to the cap (the absolute-value modification, Nocedal &
+    Wright, Numerical Optimization, section 3.4).  A cap <= delta, the
+    default 0 among them, gives the plain floor bit for bit.  A matrix whose smallest eigenvalue is
+    already >= delta is returned unchanged, as a new array.  H must be
+    symmetric within ``SYMMETRY_TOL``; the eigenvalues are those of
+    (H + H^T) / 2, which is H itself when H equals its transpose bit for
+    bit, so such an H is not averaged.  Only where H + H^T overflows is the
+    average taken as H/2 + H^T/2 instead.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("H must be a square matrix")
     if not 0.0 < delta < np.inf:  # written so that NaN is rejected too
         raise ValueError("delta must be positive and finite")
+    if not cap >= 0.0:  # written so that NaN is rejected too
+        raise ValueError("cap must be nonnegative")
     if not np.isfinite(H).all():
         raise ValueError("H has nonfinite entries")
     sym = H
@@ -191,7 +198,11 @@ def modify_hessian(H: np.ndarray, delta: float) -> np.ndarray:
     w, q = np.linalg.eigh(sym)
     if not w.size or w[0] >= delta:
         return np.array(H)
-    out = (q * np.maximum(w, delta)) @ q.T
+    floored = np.maximum(w, delta)
+    if cap > delta:
+        neg = w < 0.0
+        floored[neg] = np.maximum(delta, np.minimum(-w[neg], cap))
+    out = (q * floored) @ q.T
     return (out + out.T) / 2.0
 
 

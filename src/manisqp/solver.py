@@ -6,9 +6,9 @@ in the next ``IterateState`` (callers leave it None).  It then draws a random
 orthonormal tangent basis from the iteration seed (the manifold's own
 construction, ``orthonormal_basis``: on Oblique and Sphere the seed picks the
 rotation of each row's Householder block), builds a convex quadratic model of
-the problem in those coordinates (Lagrangian Hessian with its eigenvalues
-floored, or the identity), solves it for a step and a fresh multiplier
-estimate, ratchets the exact-penalty parameter so the step remains a descent
+the problem in those coordinates (the modified Lagrangian Hessian below, or
+the identity), solves it for a step and a fresh multiplier estimate,
+ratchets the exact-penalty parameter so the step remains a descent
 direction for the merit function, and backtracks until the Armijo condition
 
     gamma * t * <B d, d>  <=  P_rho(x) - P_rho(retract(x, t d))
@@ -24,6 +24,22 @@ drops rank or passes the test decides, so the accepted step is the one that
 testing r = 0, 1, 2, ... in turn would accept, bit for bit.  The base merit
 P_rho(x_k), like the Lagrangian gradient at (x_k, eta_k), is read off what
 the previous step computed at x_k.
+
+The model Hessian B_k keeps the Lagrangian Hessian's eigenvectors.  An
+eigenvalue lambda >= 0 becomes max(delta, lambda); a negative one becomes
+max(delta, min(-lambda, kappa_k)), with the cap
+kappa_k = min(1, curvature_scale * r_k) and r_k the KKT residual at
+(x_k, eta_k): the residual the previous step reported, carried in the
+``IterateState``, or computed once at k = 0.  Far from a KKT point the
+reversed curvature bounds the step, which under the plain floor has norm
+~1/delta along negative curvature; near one kappa_k <= delta and B_k is the
+plainly floored Hessian, so the local analysis is unchanged.  B_k's
+eigenvalues lie between delta and max(1, delta, the largest lambda)
+throughout, the uniform bounds that global convergence needs.  This is the
+residual-proportional shift of regularized Newton methods (Li, Fukushima,
+Qi & Yamashita, Comput. Optim. Appl. 28, 2004) applied only to negative
+curvature, capped at |lambda| as in the absolute-value modification
+(``modify_hessian``).  ``curvature_scale = 0`` keeps the fixed floor.
 
 A Newton iteration on the KKT system (``newton_kkt_step``) is provided
 alongside for local analysis.  It shares the basis, Hessian and subproblem
@@ -110,6 +126,7 @@ class SolverConfig:
     max_backtracks: int = 200
     seed: int = 0
     qp_tol: float = 1e-10
+    curvature_scale: float = 0.1
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -124,6 +141,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
             if not getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite")
+        if not 0.0 <= self.curvature_scale < math.inf:
+            raise ValueError("curvature_scale must be nonnegative and finite")
         require_integers(max_iter=self.max_iter, max_backtracks=self.max_backtracks, seed=self.seed)
         for name in ("residual_tol", "max_iter", "max_time", "max_backtracks", "seed"):
             if not getattr(self, name) >= 0:
@@ -135,8 +154,9 @@ class IterateState:
     """Iterate x, eta, penalty rho, count k, and what the step that reached x computed there.
 
     ``evaluation`` (x's), ``gradient`` (the ambient Lagrangian gradient at
-    (x, eta)) and ``depth`` (that step's accepted backtrack count) belong to
-    ``step``: callers leave them at their defaults.
+    (x, eta)), ``residual`` (the KKT residual of (x, eta)) and ``depth``
+    (that step's accepted backtrack count) belong to ``step``: callers leave
+    them at their defaults.
     """
 
     x: ManifoldPoint
@@ -145,6 +165,7 @@ class IterateState:
     k: int
     evaluation: Evaluation | None = None
     gradient: np.ndarray | None = None
+    residual: float | None = None
     depth: int = 0
 
 
@@ -164,6 +185,9 @@ class IterationRecord:
     backtracks, and each later chunk doubles the one before, up to 128; so
     a search that accepts r computes at least r + 1 merits.
     ``qp_iterations`` is the subproblem solver's iteration count.
+    ``curvature_cap`` is the cap kappa_k on the reversed negative curvature
+    of the Lagrangian Hessian (see ``step``; 0 keeps the fixed floor, NaN
+    under the identity model).
     """
 
     k: int
@@ -184,6 +208,7 @@ class IterationRecord:
     stationary: bool = False
     merit_evals: int = 0
     qp_iterations: int = 0
+    curvature_cap: float = float("nan")
 
 
 @dataclass(eq=False)
@@ -272,6 +297,10 @@ def iteration_seed(seed: int, k: int) -> np.random.SeedSequence:
 def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: float | None = None):
     """One full iteration.  Returns (next state, record).
 
+    The model Hessian is the Lagrangian Hessian modified by
+    ``modify_hessian(H, cfg.delta, kappa_k)``, kappa_k as in the module
+    docstring; the record keeps kappa_k as ``curvature_cap``.
+
     Raises QpInfeasibleError, StallError or RankDropError when the run
     cannot continue; the driver maps these onto verdicts.
     """
@@ -280,10 +309,20 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
     ev = state.evaluation or evaluate(prob, x)
     basis = orthonormal_basis(x, iteration_seed(cfg.seed, k))
 
+    cap = float("nan")
     if cfg.b_strategy == "modified_hessian":
-        hl = lagrangian_hessian_matrix(prob, x, eta, basis, ev, state.gradient)
+        grad = state.gradient
+        cap = 0.0
+        if cfg.curvature_scale:
+            residual = state.residual
+            if residual is None:  # x_0: no step has reported its residual
+                if grad is None:
+                    grad = _lagrangian_gradient(ev, eta, x.ambient.shape)
+                residual = kkt_residual(prob, x, eta, ev, grad).residual
+            cap = min(1.0, cfg.curvature_scale * residual)
+        hl = lagrangian_hessian_matrix(prob, x, eta, basis, ev, grad)
         try:
-            b = modify_hessian(hl, cfg.delta)
+            b = modify_hessian(hl, cfg.delta, cap)
         except ValueError:
             # hl is square and cfg.delta valid: a nonfinite hl is the one
             # rejection that names the Hessian, anything else propagates
@@ -300,7 +339,10 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
     if sol.status == "infeasible":
         raise QpInfeasibleError(f"subproblem infeasible at iteration {k}")
     if sol.status != "optimal":
-        raise StallError(f"subproblem solver failed to certify at iteration {k}")
+        raise StallError(
+            f"subproblem solver failed to certify at iteration {k} (kkt_error {sol.kkt_error:.3g}, "
+            f"qp_tol {cfg.qp_tol:.3g}, step norm {np.linalg.norm(sol.d):.3g})"
+        )
     if not np.all(np.isfinite(sol.eta.mu)) or not np.all(np.isfinite(sol.eta.lam)):
         raise StallError("subproblem multipliers are nonfinite")
 
@@ -339,8 +381,10 @@ def step(prob: Problem, state: IterateState, cfg: SolverConfig, clock_origin: fl
         stationary=stationary,
         merit_evals=ls.merit_evals,
         qp_iterations=sol.iterations,
+        curvature_cap=cap,
     )
-    return IterateState(ls.x_next, eta_next, rho, k + 1, ev_next, grad_next, ls.backtracks), record
+    next_state = IterateState(ls.x_next, eta_next, rho, k + 1, ev_next, grad_next, report.residual, ls.backtracks)
+    return next_state, record
 
 
 def _state_unchanged(a: IterateState, b: IterateState) -> bool:

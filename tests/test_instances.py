@@ -211,6 +211,23 @@ def test_feasible_start_returns_a_fitting_first_start_without_a_step(monkeypatch
         assert m.feasible_start(inst, tol=1e9, max_iter=max_iter).ambient.tobytes() == want.ambient.tobytes()
 
 
+def test_feasible_start_keeps_the_fixed_eigenvalue_floor(monkeypatch):
+    # the residual cap on negative curvature stays out of the feasibility
+    # phase: every step runs at curvature_scale 0 and records a cap of 0
+    caps = []
+    step = instances.step
+
+    def spy(prob, state, cfg):
+        assert cfg.curvature_scale == 0.0
+        out = step(prob, state, cfg)
+        caps.append(out[1].curvature_cap)
+        return out
+
+    monkeypatch.setattr(instances, "step", spy)
+    m.feasible_start(m.gen_completion(4, 8, 2, 3), tol=1e-2)
+    assert caps and set(caps) == {0.0}
+
+
 def test_feasible_start_names_the_attempt_cap():
     # every restart of this instance fails, and the 32nd ends the phase
     # after 34 of its 200 steps: the attempts, not the budget, ran out

@@ -113,7 +113,8 @@ def check_all_budgets(calls):
 def test_matches_definition_on_cut_iterations(monkeypatch):
     inst = m.gen_balanced_cut(50, 2, 0.01, seed=5)
     prob = m.cut_problem(inst)
-    cfg = m.SolverConfig(delta=1e-4, qp_tol=1e-8, residual_tol=1e-8, max_iter=12, seed=5)
+    # the fixed floor (curvature_scale 0) gives early steps of norm ~1/delta
+    cfg = m.SolverConfig(delta=1e-4, qp_tol=1e-8, residual_tol=1e-8, max_iter=12, seed=5, curvature_scale=0.0)
     backtracks = check_all_budgets(recorded_searches(monkeypatch, prob, m.random_cut_start(inst), cfg))
     # the directions exercise full steps and searches that run past several chunks
     assert min(backtracks) == 0 and max(backtracks) >= 16

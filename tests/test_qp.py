@@ -149,6 +149,55 @@ def test_modify_hessian_averages_without_overflow():
         assert m.modify_hessian(h, 1e-3).tobytes() == h.tobytes()
 
 
+def _capped(w, delta, cap):
+    """The capped floor of eigenvalues w: max(delta, min(-w, cap)) where w < 0, max(delta, w) elsewhere."""
+    return np.where(w < 0.0, np.maximum(delta, np.minimum(-w, cap)), np.maximum(w, delta))
+
+
+def test_modify_hessian_cap_at_or_below_delta_is_the_plain_floor():
+    rng = np.random.default_rng(4)
+    for trial in range(60):
+        d = int(rng.integers(1, 9))
+        a = rng.normal(size=(d, d))
+        h = (a + a.T) / 2.0
+        delta = float(rng.choice([1e-8, 1e-5, 0.5]))
+        want = _floored(h, delta).tobytes()
+        assert m.modify_hessian(h, delta).tobytes() == want, trial
+        for cap in (0.0, delta / 3.0, delta):
+            assert m.modify_hessian(h, delta, cap).tobytes() == want, trial
+
+
+def test_modify_hessian_cap_reverses_negative_curvature_up_to_the_cap():
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        d = int(rng.integers(2, 9))
+        a = rng.normal(size=(d, d))
+        h = (a + a.T) / 2.0
+        delta = float(rng.choice([1e-8, 1e-5, 1e-2]))
+        cap = float(rng.choice([0.05, 0.3, 1.0, np.inf]))
+        w, v = np.linalg.eigh(h)
+        out = m.modify_hessian(h, delta, cap)
+        # each eigenvector keeps its eigenvalue's image: those of eigenvalues
+        # >= 0 the plain floor's, those of negative ones the capped reversal
+        want = _capped(w, delta, cap)
+        assert np.max(np.abs(out @ v - v * want)) <= 1e-12 * (1.0 + np.abs(w).max()), trial
+        assert np.max(np.abs(np.linalg.eigvalsh(out) - np.sort(want))) <= 1e-12 * (1.0 + np.abs(w).max()), trial
+        # orthogonally equivariant: modify(Q H Q^T) = Q modify(H) Q^T
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        rotated = q @ h @ q.T
+        rotated = (rotated + rotated.T) / 2.0
+        got = m.modify_hessian(rotated, delta, cap)
+        assert np.max(np.abs(got - q @ out @ q.T)) <= 1e-12 * (1.0 + np.abs(w).max()), trial
+    # by hand: eigenvalues -3, -0.2 and 2 with the cap 1 become 1, 0.2 and 2
+    h = np.diag([-3.0, -0.2, 2.0])
+    assert np.array_equal(m.modify_hessian(h, 1e-5, 1.0), np.diag([1.0, 0.2, 2.0]))
+    # a definite matrix passes through untouched, whatever the cap
+    assert m.modify_hessian(np.diag([3.0, 0.5]), 1e-5, 1.0).tobytes() == np.diag([3.0, 0.5]).tobytes()
+    for bad in (-1e-3, np.nan):
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            m.modify_hessian(np.eye(2), 1e-3, bad)
+
+
 def test_build_subproblem_model_is_read_only_and_keeps_its_hessian():
     for name, prob, x in bundled_problems(seed=4):
         basis = m.orthonormal_basis(x, 5)

@@ -9,12 +9,14 @@ iteration, which pins the ratchet formula rho = upsilon + epsilon.
 
 import collections
 import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
 
 import manisqp as m
+from manisqp import solver
 
 from util import curved_toy, euclidean_toy, sphere_tilt
 
@@ -56,6 +58,9 @@ def test_solver_config_validation():
     for name in ("max_iter", "max_backtracks", "max_time", "residual_tol"):
         with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
             m.SolverConfig(**{name: -1})
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="curvature_scale must be nonnegative and finite"):
+            m.SolverConfig(curvature_scale=bad)
     # counts are integers: a fractional budget or seed is not truncated
     for name in ("max_iter", "max_backtracks", "seed"):
         for value in (2.5, 2.0, True, "3"):
@@ -409,7 +414,7 @@ def test_verdict_stalled_when_the_saddle_solve_overflows():
     with np.errstate(over="ignore", invalid="ignore"):
         state, trace = m.solve(prob, man.point(np.zeros(2)))
     assert trace.verdict == "stalled"
-    assert trace.reason == "subproblem solver failed to certify at iteration 0"
+    assert trace.reason == "subproblem solver failed to certify at iteration 0 (kkt_error nan, qp_tol 1e-10, step norm nan)"
     assert trace.records == []
 
 
@@ -464,15 +469,88 @@ def test_verdict_stalled_on_tiny_backtrack_budget():
 
 
 def test_stall_reason_for_uncertified_cut_subproblem():
-    # the floor delta=1e-8 admits steps of norm ~1e8 whose subproblem
-    # certificate misses qp_tol=1e-8 before the first step is taken
+    # the fixed floor delta=1e-8 (curvature_scale 0) admits steps of norm
+    # ~1e8 whose subproblem certificate misses qp_tol=1e-8 before the first
+    # step is taken
     inst = m.gen_balanced_cut(30, 2, 0.1, seed=64)
     prob = m.cut_problem(inst)
-    cfg = m.SolverConfig(delta=1e-8, qp_tol=1e-8, seed=64)
+    cfg = m.SolverConfig(delta=1e-8, qp_tol=1e-8, seed=64, curvature_scale=0.0)
     _, trace = m.solve(prob, m.random_cut_start(inst), cfg=cfg)
     assert trace.verdict == "stalled"
     assert trace.records == []
-    assert trace.reason == "subproblem solver failed to certify at iteration 0"
+    # the reason carries the numbers: here kkt_error 1.17e-08 and step norm 3.11e+08
+    got = re.fullmatch(
+        r"subproblem solver failed to certify at iteration 0 \(kkt_error (\S+), qp_tol 1e-08, step norm (\S+)\)",
+        trace.reason,
+    )
+    assert got and float(got[1]) > 1e-8 and float(got[2]) > 1e7, trace.reason
+
+
+def _criterion6_cut_run(q, density, seed, **cfg):
+    """A balanced cut solved from its random start at delta=1e-8, qp_tol=1e-8, residual_tol=1e-8, 100 iterations."""
+    inst = m.gen_balanced_cut(q, 2, density, seed=seed)
+    prob = m.cut_problem(inst)
+    x0 = m.random_cut_start(inst)
+    base = dict(delta=1e-8, qp_tol=1e-8, residual_tol=1e-8, max_iter=100, seed=seed)
+    return prob, x0, m.solve(prob, x0, cfg=m.SolverConfig(**base | cfg))[1]
+
+
+@pytest.mark.parametrize(
+    "q, density, seed",
+    [
+        # the run above, which stalls under the fixed floor
+        (30, 0.1, 64),
+        # cut-q50 trials that stall at iteration 0 under the fixed floor
+        (50, 0.01, 2424329043),
+        (50, 0.01, 300472101),
+        (50, 0.01, 2975184963),
+        (50, 0.01, 3849382496),
+        # a cut-q200 trial that crawls to max_iter under the fixed floor
+        (200, 0.01, 182319426),
+    ],
+)
+def test_curvature_cap_converges_where_the_fixed_floor_fails(q, density, seed):
+    _, _, trace = _criterion6_cut_run(q, density, seed)
+    assert trace.verdict == "converged", trace.reason
+    assert trace.records[-1].residual <= 1e-8
+
+
+def test_curvature_cap_follows_the_previous_residual():
+    # kappa_k = min(1, 0.1 r_k): r_0 at the start, then each record's residual
+    prob, x0, trace = _criterion6_cut_run(30, 0.1, 64)
+    r0 = m.kkt_residual(prob, x0, m.Multipliers.zeros(prob.m, prob.n)).residual
+    residuals = [r0] + [r.residual for r in trace.records[:-1]]
+    assert [r.curvature_cap for r in trace.records] == [min(1.0, 0.1 * r) for r in residuals]
+    # far from the solution the cap is ~0.5; on the last step it is ~delta
+    assert trace.records[0].curvature_cap > 0.1 and trace.records[-1].curvature_cap < 1e-7
+    # the fixed floor records a cap of 0, and the identity model none
+    _, _, fixed = _criterion6_cut_run(30, 0.1, 64, curvature_scale=0.0, delta=1e-4, max_iter=3)
+    assert [r.curvature_cap for r in fixed.records] == [0.0] * 3
+    _, _, ident = _criterion6_cut_run(30, 0.1, 64, b_strategy="identity", max_iter=3)
+    assert all(math.isnan(r.curvature_cap) for r in ident.records)
+
+
+def test_curvature_cap_leaves_a_run_without_negative_curvature_bit_for_bit(monkeypatch):
+    # on the sphere tilt's near side every Lagrangian Hessian is positive
+    # semidefinite, so the cap changes nothing but the recorded kappa_k
+    prob, _, _ = sphere_tilt()
+    x0 = prob.manifold.point(np.array([3.0, 1.0, -1.0]) / math.sqrt(11.0))
+    modify = solver.modify_hessian
+    smallest = []
+
+    def spy(h, delta, cap=0.0):
+        smallest.append(float(np.linalg.eigvalsh(h)[0]))
+        return modify(h, delta, cap)
+
+    monkeypatch.setattr(solver, "modify_hessian", spy)
+    runs = []
+    for scale in (0.0, 0.1):
+        cfg = m.SolverConfig(residual_tol=1e-12, seed=9, curvature_scale=scale)
+        state, trace = m.solve(prob, x0, cfg=cfg)
+        runs.append((_state_bytes(state), [_record_fields(r, "curvature_cap") for r in trace.records]))
+        assert trace.verdict == "converged" and len(trace.records) >= 3
+    assert min(smallest) >= 0.0
+    assert runs[0] == runs[1]
 
 
 def test_solver_is_deterministic():
@@ -525,7 +603,7 @@ def test_carried_evaluation_matches_a_fresh_one():
             carried, record = m.step(prob, carried, cfg)
             rebuilt, rebuilt_record = m.step(prob, m.IterateState(rebuilt.x, rebuilt.eta, rebuilt.rho, rebuilt.k), cfg)
             assert carried.evaluation is not None and carried.gradient is not None
-            assert carried.depth == record.backtracks
+            assert carried.depth == record.backtracks and carried.residual == record.residual
             assert _record_fields(record, "merit_evals") == _record_fields(rebuilt_record, "merit_evals")
             assert _state_bytes(carried) == _state_bytes(rebuilt)
             if record.residual <= 1e-12:
